@@ -22,15 +22,17 @@ toward it the qubit relaxes. Both live in [0, 1].
 
 A channel acts on chosen qubits of a register in one of two ways:
 
-  INDEPENDENT   every listed qubit gets its own Kraus index (4^k terms);
-                this is local, uncorrelated noise and the experiments' default.
+  INDEPENDENT   every listed qubit gets its own Kraus index; this is local,
+                uncorrelated noise and the experiments' default. Lifted
+                operators on distinct qubits commute, so the channel is applied
+                one qubit at a time, sum_n E_n rho E_n^dagger per qubit.
   CORRELATED    one index is shared across all listed qubits,
                 sum_n (E_n x E_n x ...) rho (...)^dagger.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -88,7 +90,7 @@ def completeness_defect(kraus: KrausSet) -> float:
     return float(np.linalg.norm(total - np.eye(kraus.dim)))
 
 
-def _check_params(p: float, gamma: float) -> tuple[float, float]:
+def check_params(p: float, gamma: float) -> tuple[float, float]:
     p, gamma = float(p), float(gamma)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"channel strength p={p} outside [0, 1]")
@@ -99,7 +101,7 @@ def _check_params(p: float, gamma: float) -> tuple[float, float]:
 
 def gad_standard(p: float, gamma: float) -> KrausSet:
     """Completeness-satisfying GAD set; identity channel at gamma=0."""
-    p, gamma = _check_params(p, gamma)
+    p, gamma = check_params(p, gamma)
     sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
     sg, s1g = np.sqrt(gamma), np.sqrt(1.0 - gamma)
     e0 = sp * np.array([[1, 0], [0, s1g]], dtype=complex)
@@ -115,7 +117,7 @@ def gad_raw(p: float, gamma: float) -> KrausSet:
     Not trace preserving for generic (p, gamma): E1 = 2*sqrt(p)|0><1| alone
     pushes sum E^dag E past the identity. Use with renormalize=True.
     """
-    p, gamma = _check_params(p, gamma)
+    p, gamma = check_params(p, gamma)
     sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
     sg, s1g = np.sqrt(gamma), np.sqrt(1.0 - gamma)
     eye = linalg.IDENTITY_2
@@ -163,22 +165,14 @@ def apply_channel(
     if min_eig < -PSD_TOL:
         raise NumericalError(f"input state is not PSD (min eigenvalue {min_eig:.3e})")
 
-    lifted = [
-        [linalg.lift_operator(e, (q,), n) for e in kraus.elements] for q in qubits
-    ]
-    out = np.zeros_like(m)
+    lifted = [[linalg.lift_operator(e, (q,), n) for e in kraus.elements] for q in qubits]
     if mode is ApplicationMode.INDEPENDENT:
-        for combo in itertools.product(range(len(kraus.elements)), repeat=len(qubits)):
-            op = lifted[0][combo[0]]
-            for i in range(1, len(qubits)):
-                op = op @ lifted[i][combo[i]]
-            out += op @ m @ op.conj().T
+        out = m
+        for ops in lifted:
+            out = sum(op @ out @ op.conj().T for op in ops)
     elif mode is ApplicationMode.CORRELATED:
-        for idx in range(len(kraus.elements)):
-            op = lifted[0][idx]
-            for i in range(1, len(qubits)):
-                op = op @ lifted[i][idx]
-            out += op @ m @ op.conj().T
+        shared = (functools.reduce(np.matmul, ops) for ops in zip(*lifted))
+        out = sum(op @ m @ op.conj().T for op in shared)
     else:
         raise ValueError(f"unknown application mode {mode!r}")
 

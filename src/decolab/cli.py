@@ -11,9 +11,8 @@ Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-
-import numpy as np
 
 from . import states, sweep as sweep_mod, svg as svg_mod, teleport
 from .channels import ApplicationMode, KrausVariant, apply_channel, build_kraus
@@ -46,16 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     cmd = commands.add_parser("teleport", help="single protocol run, printed per branch")
-    cmd.add_argument("--mu", type=float, default=1 / np.sqrt(2))
-    cmd.add_argument("--nu", type=float, default=1 / np.sqrt(2))
+    cmd.add_argument("--mu", type=float, default=states.SQRT_HALF)
+    cmd.add_argument("--nu", type=float, default=states.SQRT_HALF)
     cmd.add_argument("--theta", type=float, default=0.0, help="analyzer angle, radians")
     cmd.add_argument("--kind", choices=["ghz", "ghz_like"], default="ghz")
     cmd.add_argument("--p", type=float, default=0.0)
     cmd.add_argument("--gamma", type=float, default=0.0)
     cmd.add_argument("--kraus", choices=["standard", "raw"], default="standard")
     cmd.add_argument("--mode", choices=["independent", "correlated"], default="independent")
-    cmd.add_argument("--alpha", type=float, default=1 / np.sqrt(2))
-    cmd.add_argument("--beta", type=float, default=1 / np.sqrt(2))
+    cmd.add_argument("--alpha", type=float, default=states.SQRT_HALF)
+    cmd.add_argument("--beta", type=float, default=states.SQRT_HALF)
     cmd.add_argument("--c1", type=float, default=1.0)
     cmd.add_argument("--c2", type=float, default=1.0)
     cmd.add_argument("--c3", type=float, default=1.0)
@@ -102,10 +101,9 @@ def _cmd_check_channel(args) -> int:
 
 def _cmd_teleport(args) -> int:
     kind = ResourceKind(args.kind)
-    if kind is ResourceKind.GHZ:
-        resource = states.ghz(args.alpha, args.beta)
-    else:
-        resource = states.ghz_like(args.c1, args.c2, args.c3, args.c4)
+    ghz = kind is ResourceKind.GHZ
+    params = (args.alpha, args.beta) if ghz else (args.c1, args.c2, args.c3, args.c4)
+    resource = sweep_mod.resource_vector(kind, params)
     kraus = build_kraus(KrausVariant(args.kraus), args.p, args.gamma)
     rho = apply_channel(
         states.density(resource), kraus, (0, 1, 2), ApplicationMode(args.mode), renormalize=True
@@ -132,9 +130,25 @@ def _cmd_diff_formulas(args) -> int:
     return EXIT_OK
 
 
+# argparse before Python 3.13 reads a negative number in exponent form as an
+# option name, so `--theta -1e-05` is passed on as `--theta=-1e-05`.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
+def _attach_negative_values(argv) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_NUMBER.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "sweep": _cmd_sweep,
         "check-channel": _cmd_check_channel,

@@ -18,17 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import check_params
 from .constants import REAL_RESIDUE_TOL
 from .teleport import BellOutcome, CharlieOutcome
-
-
-def _check_params(p: float, gamma: float) -> tuple[float, float]:
-    p, gamma = float(p), float(gamma)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"channel strength p={p} outside [0, 1]")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"damping parameter gamma={gamma} outside [0, 1]")
-    return p, gamma
 
 
 def _real_output(value: complex, what: str) -> float:
@@ -38,8 +30,25 @@ def _real_output(value: complex, what: str) -> float:
     return value.real
 
 
+class _RegisterCoeffs:
+    """Coefficients that each sit at one entry of the 8x8 register; `_SLOTS`
+    lists (label, row, col) in ledger order."""
+
+    _SLOTS: tuple = ()
+
+    def entries(self) -> list[tuple[str, int, int, complex]]:
+        """(label, row, col, value) for every coefficient, in ledger order."""
+        return [(label, row, col, getattr(self, label)) for label, row, col in self._SLOTS]
+
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((8, 8), dtype=complex)
+        for _, row, col, value in self.entries():
+            m[row, col] = value
+        return m
+
+
 @dataclass(frozen=True)
-class GhzCoeffs:
+class GhzCoeffs(_RegisterCoeffs):
     """Entries of the damped GHZ state in the {|000>, |111>} block.
 
     a1 multiplies |000><000|, a2 |000><111|, a3 |111><000|, a4 |111><111|.
@@ -47,19 +56,16 @@ class GhzCoeffs:
     against a normalized simulated state.
     """
 
+    _SLOTS = (("a1", 0, 0), ("a2", 0, 7), ("a3", 7, 0), ("a4", 7, 7))
+
     a1: complex
     a2: complex
     a3: complex
     a4: complex
 
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((8, 8), dtype=complex)
-        m[0, 0], m[0, 7], m[7, 0], m[7, 7] = self.a1, self.a2, self.a3, self.a4
-        return m
-
 
 def ghz_coeffs(alpha, beta, p: float, gamma: float) -> GhzCoeffs:
-    p, g = _check_params(p, gamma)
+    p, g = check_params(p, gamma)
     alpha, beta = complex(alpha), complex(beta)
     decay = (1.0 - g) ** 3
     coherence = (1.0 - g) ** 1.5
@@ -70,13 +76,12 @@ def ghz_coeffs(alpha, beta, p: float, gamma: float) -> GhzCoeffs:
     return GhzCoeffs(a1, a2, a3, a4)
 
 
-# Row-major entry order of the damped GHZ-like state over the basis
-# {|001>, |010>, |100>, |111>} (register indices 1, 2, 4, 7).
+# Register indices of the GHZ-like basis {|001>, |010>, |100>, |111>}.
 _GHZ_LIKE_BASIS = (1, 2, 4, 7)
 
 
 @dataclass(frozen=True)
-class GhzLikeCoeffs:
+class GhzLikeCoeffs(_RegisterCoeffs):
     """The sixteen entries b1..b16 of the damped GHZ-like state, row-major over
     {|001>, |010>, |100>, |111>}, plus the three kappa weights.
 
@@ -84,6 +89,12 @@ class GhzLikeCoeffs:
     extra p^3 cross term, and the b16 expression appears under a reused b12
     label in the source display (resolved to b16 by its |111><111| position).
     """
+
+    _SLOTS = tuple(
+        (f"b{4 * i + j + 1}", row, col)
+        for i, row in enumerate(_GHZ_LIKE_BASIS)
+        for j, col in enumerate(_GHZ_LIKE_BASIS)
+    )
 
     b1: complex
     b2: complex
@@ -110,16 +121,9 @@ class GhzLikeCoeffs:
             raise ValueError(f"coefficient index {index} outside 1..16")
         return getattr(self, f"b{index}")
 
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((8, 8), dtype=complex)
-        for i, row in enumerate(_GHZ_LIKE_BASIS):
-            for j, col in enumerate(_GHZ_LIKE_BASIS):
-                m[row, col] = self.b(4 * i + j + 1)
-        return m
-
 
 def ghz_like_coeffs(c1, c2, c3, c4, p: float, gamma: float) -> GhzLikeCoeffs:
-    p, g = _check_params(p, gamma)
+    p, g = check_params(p, gamma)
     c1, c2, c3, c4 = (complex(c) for c in (c1, c2, c3, c4))
     base = (1.0 - g) / 4.0
     tail = (1.0 - p) ** 1.5

@@ -3,10 +3,6 @@
 # Maximum allowed |H - H^dagger| entry before a matrix is rejected as non-Hermitian.
 HERMITICITY_TOL = 1e-10
 
-# Off-diagonal Frobenius norm at which the Jacobi eigensolver stops.
-EIG_OFFDIAG_TOL = 1e-14
-EIG_MAX_SWEEPS = 100
-
 # Trace bookkeeping (partial traces, channel outputs).
 TRACE_TOL = 1e-12
 

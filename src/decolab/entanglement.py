@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .constants import HERMITICITY_TOL, NEG_EIG_CUTOFF, NORM_TOL
+from .constants import NEG_EIG_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -27,21 +27,9 @@ class NegativityReport:
         return (self.n_a_bc, self.n_b_ac, self.n_c_ab)
 
 
-def _check_three_qubit_density(rho) -> np.ndarray:
-    m = linalg.as_matrix(rho)
-    if m.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 three-qubit state, got shape {m.shape}")
-    if not linalg.is_hermitian(m, HERMITICITY_TOL):
-        raise ValueError("state is not Hermitian")
-    trace = linalg.real_trace(m)
-    if abs(trace - 1.0) > NORM_TOL:
-        raise ValueError(f"state trace {trace!r} is not 1")
-    return m
-
-
 def negativity_cut(rho, qubit: int) -> float:
     """Negativity of the cut separating `qubit` from the other two."""
-    m = _check_three_qubit_density(rho)
+    m = linalg.three_qubit_density(rho)
     pt = linalg.partial_transpose(m, qubit, 3)
     eigs = linalg.hermitian_eigenvalues(pt)
     negative = eigs[eigs < -NEG_EIG_CUTOFF]

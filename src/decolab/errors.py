@@ -3,7 +3,7 @@
 
 class NumericalError(RuntimeError):
     """A computation produced an unusable result (zero-trace renormalization,
-    non-positive input state, eigensolver breakdown)."""
+    non-positive input state)."""
 
 
 class RunfileError(ValueError):

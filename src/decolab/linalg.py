@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import EIG_MAX_SWEEPS, EIG_OFFDIAG_TOL, HERMITICITY_TOL
-from .errors import NumericalError
+from .constants import HERMITICITY_TOL, NORM_TOL
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -65,6 +64,19 @@ def real_trace(a, tol: float = HERMITICITY_TOL) -> float:
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
     m = as_matrix(a)
     return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
+
+
+def three_qubit_density(rho) -> np.ndarray:
+    """Validate an 8x8 Hermitian, unit-trace matrix and return it as an array."""
+    m = as_matrix(rho)
+    if m.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 three-qubit state, got shape {m.shape}")
+    if not is_hermitian(m):
+        raise ValueError("state is not Hermitian")
+    trace = real_trace(m)
+    if abs(trace - 1.0) > NORM_TOL:
+        raise ValueError(f"state trace {trace!r} is not 1")
+    return m
 
 
 def _check_square_register(rho) -> tuple[np.ndarray, int]:
@@ -134,62 +146,12 @@ def partial_trace(rho, keep, n_qubits: int | None = None) -> np.ndarray:
     return np.einsum(t, row + col, out).reshape(2 ** len(keep), 2 ** len(keep))
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
-
-
-def _jacobi_real_symmetric(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi on a real symmetric matrix; returns eigenvalues, ascending."""
-    a = a.copy()
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy()
-    skip = EIG_OFFDIAG_TOL / (n * n)
-    for _ in range(EIG_MAX_SWEEPS):
-        if _offdiag_norm(a) <= EIG_OFFDIAG_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                a[p, :] = c * row_p - s * a[q, :]
-                a[q, :] = s * row_p + c * a[q, :]
-                col_p = a[:, p].copy()
-                a[:, p] = c * col_p - s * a[:, q]
-                a[:, q] = s * col_p + c * a[:, q]
-    else:
-        off = _offdiag_norm(a)
-        if off > EIG_OFFDIAG_TOL:
-            raise NumericalError(
-                f"Jacobi eigensolver did not converge in {EIG_MAX_SWEEPS} sweeps "
-                f"(off-diagonal norm {off:.3e})"
-            )
-    return np.sort(np.diag(a).copy())
-
-
 def hermitian_eigenvalues(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, ascending, via cyclic Jacobi.
-
-    Complex input is handled through the 2n x 2n real-symmetric embedding
-    [[Re H, -Im H], [Im H, Re H]], whose spectrum is that of H doubled.
-    """
+    """All real eigenvalues of a Hermitian matrix, ascending."""
     m = as_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     defect = np.abs(m - m.conj().T).max() if m.size else 0.0
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {defect:.3e})")
-    m = (m + m.conj().T) / 2.0
-    re, im = m.real, m.imag
-    if np.abs(im).max() <= EIG_OFFDIAG_TOL:
-        return _jacobi_real_symmetric(re)
-    embedded = np.block([[re, -im], [im, re]])
-    w = _jacobi_real_symmetric(embedded)
-    return (w[0::2] + w[1::2]) / 2.0
+    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)

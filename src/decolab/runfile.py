@@ -13,6 +13,7 @@ Four sections, all keys optional unless stated:
 
   [sweep]    quantity = negativity | fidelity_branch | fidelity_avg  (required)
              gamma_start, gamma_stop, gamma_count    default 0, 1, 51
+                                            (count 1 needs start = stop)
              theta_values = 0               comma list, radians
              bell, charlie                  required for fidelity_branch
 
@@ -27,11 +28,11 @@ the offending line - nothing is silently ignored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .channels import ApplicationMode, KrausVariant
 from .errors import RunfileError
+from .states import SQRT_HALF
 from .sweep import Quantity, SweepSpec
 from .teleport import BellOutcome, CharlieOutcome, ResourceKind
 
@@ -54,8 +55,6 @@ _CHARLIE_TOKENS = {
     "one": CharlieOutcome.ONE,
 }
 _SERIES_TOKENS = ("p", "theta")
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def parse_runfile(path) -> RunConfig:
     kind = _token(kind_entry, "kind", _KIND_TOKENS)
     if kind is ResourceKind.GHZ:
         params = tuple(
-            _float(entry, key) if (entry := state.take(key)) else _SQRT_HALF
+            _float(entry, key) if (entry := state.take(key)) else SQRT_HALF
             for key in ("alpha", "beta")
         )
     else:
@@ -172,8 +171,8 @@ def parse_runfile(path) -> RunConfig:
             _float(entry, key) if (entry := state.take(key)) else 1.0
             for key in ("c1", "c2", "c3", "c4")
         )
-    mu = _float(entry, "mu") if (entry := state.take("mu")) else _SQRT_HALF
-    nu = _float(entry, "nu") if (entry := state.take("nu")) else _SQRT_HALF
+    mu = _float(entry, "mu") if (entry := state.take("mu")) else SQRT_HALF
+    nu = _float(entry, "nu") if (entry := state.take("nu")) else SQRT_HALF
     _reject_unknown(state)
 
     variant = KrausVariant.STANDARD
@@ -208,8 +207,12 @@ def parse_runfile(path) -> RunConfig:
             raise RunfileError(f"gamma_stop {gamma_stop} outside [0, 1]", entry[1])
     if entry := sweep_section.take("gamma_count"):
         gamma_count = _int(entry, "gamma_count")
-        if gamma_count < 2:
-            raise RunfileError(f"gamma_count must be at least 2, got {gamma_count}", entry[1])
+        if gamma_count < (1 if gamma_start == gamma_stop else 2):
+            raise RunfileError(
+                f"gamma_count must be at least 2 (1 if gamma_start = gamma_stop), "
+                f"got {gamma_count}",
+                entry[1],
+            )
     theta_values: tuple[float, ...] = (0.0,)
     if entry := sweep_section.take("theta_values"):
         theta_values = _float_list(entry, "theta_values")

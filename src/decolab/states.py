@@ -12,9 +12,14 @@ carries, the Bell basis, and the rotated single-qubit analyzer basis.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .constants import NORM_TOL
+
+# Amplitude of each term of the maximal GHZ state and of the default payload.
+SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _KET0 = np.array([1, 0], dtype=complex)
 _KET1 = np.array([0, 1], dtype=complex)

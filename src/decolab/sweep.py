@@ -2,17 +2,14 @@
 negativity-decay and fidelity curve families, plus channel validation and the
 simulation-vs-formula diff.
 
-Grid points are independent; the env var DECOLAB_THREADS (a positive integer)
-caps how many evaluate concurrently, absent meaning single-threaded. Records
-are emitted in a fixed p-major, gamma-minor order either way, so the output
-never depends on scheduling.
+Grid points are evaluated one after another and records are emitted in a
+fixed p-major, gamma-minor order, so the same spec always gives the same
+output.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,7 +31,12 @@ class Quantity(Enum):
 _ANALYZER = (CharlieOutcome.X1, CharlieOutcome.X2)
 _COMPUTATIONAL = (CharlieOutcome.ZERO, CharlieOutcome.ONE)
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+def resource_vector(kind: ResourceKind, params) -> np.ndarray:
+    """State vector of a resource family from its amplitudes."""
+    if kind is ResourceKind.GHZ:
+        return states.ghz(*params)
+    return states.ghz_like(*params)
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,8 @@ class SweepSpec:
     kind: ResourceKind
     quantity: Quantity
     state_params: tuple = ()
-    mu: complex = _SQRT_HALF
-    nu: complex = _SQRT_HALF
+    mu: complex = states.SQRT_HALF
+    nu: complex = states.SQRT_HALF
     variant: KrausVariant = KrausVariant.STANDARD
     mode: ApplicationMode = ApplicationMode.INDEPENDENT
     p_values: tuple[float, ...] = (0.0, 0.1, 0.3)
@@ -59,7 +61,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if not self.state_params:
-            default = (_SQRT_HALF, _SQRT_HALF) if self.kind is ResourceKind.GHZ else (1, 1, 1, 1)
+            default = (states.SQRT_HALF,) * 2 if self.kind is ResourceKind.GHZ else (1, 1, 1, 1)
             object.__setattr__(self, "state_params", default)
         expected = 2 if self.kind is ResourceKind.GHZ else 4
         if len(self.state_params) != expected:
@@ -75,8 +77,8 @@ class SweepSpec:
                 raise ValueError(f"p value {p} outside [0, 1]")
         if not (0.0 <= self.gamma_start <= 1.0 and 0.0 <= self.gamma_stop <= 1.0):
             raise ValueError("gamma grid must lie within [0, 1]")
-        if self.gamma_count < 2:
-            raise ValueError("gamma grid needs at least 2 points")
+        if self.gamma_count < (1 if self.gamma_start == self.gamma_stop else 2):
+            raise ValueError("gamma grid needs at least 2 points (1 if gamma_start == gamma_stop)")
         if self.quantity is Quantity.FIDELITY_BRANCH:
             if self.bell is None or self.charlie is None:
                 raise ValueError("fidelity_branch requires a (bell, charlie) selector")
@@ -87,9 +89,7 @@ class SweepSpec:
                 )
 
     def resource_vector(self) -> np.ndarray:
-        if self.kind is ResourceKind.GHZ:
-            return states.ghz(*self.state_params)
-        return states.ghz_like(*self.state_params)
+        return resource_vector(self.kind, self.state_params)
 
     def gamma_grid(self) -> tuple[float, ...]:
         return tuple(
@@ -108,19 +108,6 @@ class SweepRecord:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError(f"record value {self.value!r} is not finite")
-
-
-def thread_count() -> int:
-    raw = os.environ.get("DECOLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"DECOLAB_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _quantity_label(spec: SweepSpec) -> str:
@@ -159,14 +146,12 @@ def _evaluate_point(spec: SweepSpec, rho0: np.ndarray, p: float, gamma: float) -
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the full p x gamma x theta grid, in deterministic order."""
     rho0 = states.density(spec.resource_vector())
-    points = [(p, gamma) for p in spec.p_values for gamma in spec.gamma_grid()]
-    workers = thread_count()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda pg: _evaluate_point(spec, rho0, *pg), points))
-    else:
-        chunks = [_evaluate_point(spec, rho0, p, gamma) for p, gamma in points]
-    return [record for chunk in chunks for record in chunk]
+    return [
+        record
+        for p in spec.p_values
+        for gamma in spec.gamma_grid()
+        for record in _evaluate_point(spec, rho0, p, gamma)
+    ]
 
 
 @dataclass(frozen=True)
@@ -182,18 +167,16 @@ DEFAULT_CHECK_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 def channel_check(p_values=DEFAULT_CHECK_GRID, gamma_values=DEFAULT_CHECK_GRID) -> list[ChannelCheckRow]:
     """Completeness defect of both Kraus variants over a (p, gamma) grid."""
-    rows = []
-    for p in p_values:
-        for gamma in gamma_values:
-            rows.append(
-                ChannelCheckRow(
-                    float(p),
-                    float(gamma),
-                    completeness_defect(gad_standard(p, gamma)),
-                    completeness_defect(gad_raw(p, gamma)),
-                )
-            )
-    return rows
+    return [
+        ChannelCheckRow(
+            float(p),
+            float(gamma),
+            completeness_defect(gad_standard(p, gamma)),
+            completeness_defect(gad_raw(p, gamma)),
+        )
+        for p in p_values
+        for gamma in gamma_values
+    ]
 
 
 def formula_diff(spec: SweepSpec) -> DiffLedger:
@@ -204,37 +187,19 @@ def formula_diff(spec: SweepSpec) -> DiffLedger:
     relative to a normalized state); GHZ-like coefficients compare directly.
     """
     rho0 = states.density(spec.resource_vector())
+    ghz = spec.kind is ResourceKind.GHZ
+    context = "ghz_coeffs" if ghz else "ghz_like_coeffs"
+    coeffs_of = closedform.ghz_coeffs if ghz else closedform.ghz_like_coeffs
     ledger = DiffLedger()
     for p in spec.p_values:
         for gamma in spec.gamma_grid():
             kraus = build_kraus(spec.variant, p, gamma)
             rho_f = apply_channel(rho0, kraus, (0, 1, 2), spec.mode, renormalize=True)
-            if spec.kind is ResourceKind.GHZ:
-                coeffs = closedform.ghz_coeffs(*spec.state_params, p, gamma)
-                entries = [
-                    ("a1", rho_f[0, 0], 2.0 * coeffs.a1),
-                    ("a2", rho_f[0, 7], 2.0 * coeffs.a2),
-                    ("a3", rho_f[7, 0], 2.0 * coeffs.a3),
-                    ("a4", rho_f[7, 7], 2.0 * coeffs.a4),
-                ]
-                context = "ghz_coeffs"
-            else:
-                coeffs = closedform.ghz_like_coeffs(*spec.state_params, p, gamma)
-                basis = closedform._GHZ_LIKE_BASIS
-                entries = [
-                    (
-                        f"b{4 * i + j + 1}",
-                        rho_f[row, col],
-                        coeffs.b(4 * i + j + 1),
-                    )
-                    for i, row in enumerate(basis)
-                    for j, col in enumerate(basis)
-                ]
-                context = "ghz_like_coeffs"
-            for quantity, simulated, formula in entries:
-                ledger.add(
-                    DiffRecord(context, float(p), float(gamma), 0.0, quantity, complex(simulated), complex(formula))
-                )
+            point = (float(p), float(gamma), 0.0)
+            for label, row, col, value in coeffs_of(*spec.state_params, p, gamma).entries():
+                simulated = complex(rho_f[row, col])
+                formula = complex(2.0 * value if ghz else value)
+                ledger.add(DiffRecord(context, *point, label, simulated, formula))
     return ledger
 
 

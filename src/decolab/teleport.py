@@ -180,24 +180,13 @@ class ProtocolResult:
         raise KeyError(f"no branch ({bell}, {charlie})")
 
 
-def _check_resource(resource) -> np.ndarray:
-    m = linalg.as_matrix(resource)
-    if m.shape != (8, 8):
-        raise ValueError(f"resource must be a three-qubit state, got shape {m.shape}")
-    if not linalg.is_hermitian(m, HERMITICITY_TOL):
-        raise ValueError("resource is not Hermitian")
-    if abs(linalg.real_trace(m) - 1.0) > NORM_TOL:
-        raise ValueError("resource trace is not 1")
-    return m
-
-
 def run_protocol(mu, nu, resource, kind: ResourceKind, theta: float = 0.0) -> ProtocolResult:
     """Enumerate all 8 (Bell x Charlie) branches of the protocol.
 
     `theta` sets Charlie's analyzer angle and applies to the GHZ kind only;
     the GHZ-like kind measures Charlie's qubit in the computational basis.
     """
-    rho_resource = _check_resource(resource)
+    rho_resource = linalg.three_qubit_density(resource)
     payload = states.qubit(mu, nu)
     rho_s = np.kron(states.density(payload), rho_resource)
 

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,3 +176,56 @@ def test_completeness_defect_examples():
     assert completeness_defect(gad_standard(0.7, 0.4)) < 1e-12
     assert completeness_defect(gad_raw(1.0, 0.0)) > 1.0
     assert completeness_defect(gad_raw(0.0, 0.0)) < 1e-12
+
+
+def kron_sum_oracle(rho, kraus, qubits, mode):
+    """The channel as an explicit sum over every Kraus product, each factor
+    placed by np.kron: 4^k terms for INDEPENDENT, 4 shared-index terms for
+    CORRELATED."""
+    n = int(np.log2(rho.shape[0]))
+    count = len(kraus.elements)
+    if mode is ApplicationMode.INDEPENDENT:
+        combos = itertools.product(range(count), repeat=len(qubits))
+    else:
+        combos = ((i,) * len(qubits) for i in range(count))
+    out = np.zeros_like(rho)
+    for combo in combos:
+        factors = [np.eye(2, dtype=complex)] * n
+        for q, i in zip(qubits, combo):
+            factors[q] = kraus.elements[i]
+        op = functools.reduce(np.kron, factors)
+        out += op @ rho @ op.conj().T
+    return out
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+qubit_subsets = st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seeds,
+    unit_interval,
+    unit_interval,
+    st.sampled_from(KrausVariant),
+    st.sampled_from(ApplicationMode),
+    qubit_subsets,
+)
+def test_apply_matches_kron_sum_oracle(seed, p, gamma, variant, mode, qubits):
+    rho = random_density(np.random.default_rng(seed), 8)
+    kraus = build_kraus(variant, p, gamma)
+    out = apply_channel(rho, kraus, qubits, mode)
+    assert np.abs(out - kron_sum_oracle(rho, kraus, qubits, mode)).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, unit_interval, unit_interval, unit_interval)
+def test_gad_semigroup(seed, p, gamma1, gamma2):
+    # two damping steps at one p compose to one step of 1 - (1-g1)(1-g2)
+    rho = random_density(np.random.default_rng(seed), 8)
+    qubits = (0, 1, 2)
+    twice = apply_channel(
+        apply_channel(rho, gad_standard(p, gamma1), qubits), gad_standard(p, gamma2), qubits
+    )
+    once = apply_channel(rho, gad_standard(p, 1.0 - (1.0 - gamma1) * (1.0 - gamma2)), qubits)
+    assert np.abs(twice - once).max() <= 1e-13

@@ -81,6 +81,20 @@ def test_teleport_prints_branch_table(capsys):
     assert "average fidelity = 1.000000" in out
 
 
+def test_teleport_negative_exponent_argument(capsys):
+    code = main(["teleport", "--theta", "-1e-05"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("phi_plus") == 2
+    assert "average fidelity" in out
+
+
+def test_teleport_negative_exponent_reaches_validation(capsys):
+    # parsed as the value of --p, then rejected by the channel's range check
+    assert main(["teleport", "--p", "-1e-05"]) == EXIT_VALIDATION
+    assert "outside [0, 1]" in capsys.readouterr().err
+
+
 def test_teleport_damped_ghz(capsys):
     code = main(
         ["teleport", "--kind", "ghz", "--theta", "0.785398", "--p", "0.3", "--gamma", "0.4"]

@@ -78,22 +78,11 @@ def test_branch_sweep_labels_and_values():
     assert records[0].value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sweep_determinism_and_thread_equivalence(monkeypatch):
+def test_sweep_determinism():
     spec = SweepSpec(
         kind=ResourceKind.GHZ, quantity=Quantity.NEGATIVITY, p_values=(0.0, 0.3), gamma_count=7
     )
-    single = run_sweep(spec)
-    again = run_sweep(spec)
-    assert single == again
-    monkeypatch.setenv("DECOLAB_THREADS", "3")
-    threaded = run_sweep(spec)
-    assert threaded == single
-
-
-def test_bad_thread_env(monkeypatch):
-    monkeypatch.setenv("DECOLAB_THREADS", "zero")
-    with pytest.raises(ValueError, match="DECOLAB_THREADS"):
-        run_sweep(fig1_spec())
+    assert run_sweep(spec) == run_sweep(spec)
 
 
 def test_numerical_failure_names_the_grid_point(monkeypatch):
@@ -138,6 +127,14 @@ def test_spec_validation():
         SweepSpec(kind=ResourceKind.GHZ, quantity=Quantity.NEGATIVITY, gamma_stop=1.5)
     with pytest.raises(ValueError, match="at least 2"):
         SweepSpec(kind=ResourceKind.GHZ, quantity=Quantity.NEGATIVITY, gamma_count=1)
+    with pytest.raises(ValueError, match="at least 2"):
+        SweepSpec(
+            kind=ResourceKind.GHZ,
+            quantity=Quantity.NEGATIVITY,
+            gamma_start=0.2,
+            gamma_stop=0.2,
+            gamma_count=0,
+        )
     with pytest.raises(ValueError, match="selector"):
         SweepSpec(kind=ResourceKind.GHZ, quantity=Quantity.FIDELITY_BRANCH)
     with pytest.raises(ValueError, match="does not fit"):
@@ -149,6 +146,23 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError, match="state parameters"):
         SweepSpec(kind=ResourceKind.GHZ, quantity=Quantity.NEGATIVITY, state_params=(1, 0, 0, 0))
+
+
+def test_one_point_gamma_grid():
+    spec = SweepSpec(
+        kind=ResourceKind.GHZ,
+        quantity=Quantity.FIDELITY_AVG,
+        p_values=(0.0, 0.3),
+        gamma_start=0.2,
+        gamma_stop=0.2,
+        gamma_count=1,
+        theta_values=(0.0, 0.5),
+    )
+    assert spec.gamma_grid() == (0.2,)
+    records = run_sweep(spec)
+    assert [(r.p, r.gamma, r.theta) for r in records] == [
+        (0.0, 0.2, 0.0), (0.0, 0.2, 0.5), (0.3, 0.2, 0.0), (0.3, 0.2, 0.5)
+    ]
 
 
 def test_channel_check_grid():
@@ -361,6 +375,7 @@ series = p
     [
         ("quantity = negativity\ngamma_stop = 1.5", "gamma_stop 1.5 outside"),
         ("quantity = negativity\ngamma_count = 1", "at least 2"),
+        ("quantity = negativity\ngamma_start = 0.5\ngamma_stop = 0.5\ngamma_count = 0", "at least 2"),
         ("quantity = negativity\nsurprise = 1", "unknown key 'surprise'"),
         ("quantity = everything", "quantity must be one of"),
     ],
@@ -370,6 +385,15 @@ def test_runfile_errors_name_their_line(tmp_path, line, fragment):
     with pytest.raises(RunfileError, match=fragment) as err:
         parse_runfile(path)
     assert err.value.line > 0
+
+
+def test_runfile_one_point_gamma_grid(tmp_path):
+    text = MINIMAL.replace(
+        "quantity = negativity",
+        "quantity = negativity\ngamma_start = 0\ngamma_stop = 0\ngamma_count = 1",
+    )
+    spec = parse_runfile(write_runfile(tmp_path, text)).sweep
+    assert spec.gamma_grid() == (0.0,)
 
 
 def test_runfile_unknown_section(tmp_path):
