@@ -23,11 +23,11 @@ toward it the qubit relaxes. Both live in [0, 1].
 A channel acts on chosen qubits of a register in one of two ways:
 
   INDEPENDENT   every listed qubit gets its own Kraus index; this is local,
-                uncorrelated noise and the experiments' default. Lifted
-                operators on distinct qubits commute, so the channel is applied
-                one qubit at a time, sum_n E_n rho E_n^dagger per qubit.
-  CORRELATED    one index is shared across all listed qubits,
-                sum_n (E_n x E_n x ...) rho (...)^dagger.
+                uncorrelated noise and the experiments' default. Operators on
+                distinct qubits commute, so `linalg.apply_local` applies the
+                channel one qubit at a time, sum_n E_n rho E_n^dagger per qubit.
+  CORRELATED    one index is shared across all listed qubits: one apply_local
+                call with the products, sum_n (E_n x E_n x ...) rho (...)^dagger.
 """
 
 from __future__ import annotations
@@ -149,14 +149,9 @@ def apply_channel(
     silently returning a zero state.
     """
     m = linalg.as_matrix(rho)
-    n = linalg.num_qubits(m.shape[0])
-    qubits = tuple(int(q) for q in qubits)
+    qubits = linalg.check_qubits(qubits, linalg.num_qubits(m.shape[0]))
     if not qubits:
         raise ValueError("qubit list must be nonempty")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"qubit list {qubits} contains duplicates")
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"qubit list {qubits} out of range for {n} qubits")
     if kraus.dim != 2:
         raise ValueError("apply_channel expects single-qubit Kraus elements")
     if not linalg.is_hermitian(m, HERMITICITY_TOL):
@@ -165,14 +160,13 @@ def apply_channel(
     if min_eig < -PSD_TOL:
         raise NumericalError(f"input state is not PSD (min eigenvalue {min_eig:.3e})")
 
-    lifted = [[linalg.lift_operator(e, (q,), n) for e in kraus.elements] for q in qubits]
     if mode is ApplicationMode.INDEPENDENT:
         out = m
-        for ops in lifted:
-            out = sum(op @ out @ op.conj().T for op in ops)
+        for q in qubits:
+            out = linalg.apply_local(kraus.elements, out, (q,))
     elif mode is ApplicationMode.CORRELATED:
-        shared = (functools.reduce(np.matmul, ops) for ops in zip(*lifted))
-        out = sum(op @ m @ op.conj().T for op in shared)
+        shared = [functools.reduce(np.kron, [e] * len(qubits)) for e in kraus.elements]
+        out = linalg.apply_local(shared, m, qubits)
     else:
         raise ValueError(f"unknown application mode {mode!r}")
 

@@ -53,12 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--gamma", type=float, default=0.0)
     cmd.add_argument("--kraus", choices=["standard", "raw"], default="standard")
     cmd.add_argument("--mode", choices=["independent", "correlated"], default="independent")
-    cmd.add_argument("--alpha", type=float, default=states.SQRT_HALF)
-    cmd.add_argument("--beta", type=float, default=states.SQRT_HALF)
-    cmd.add_argument("--c1", type=float, default=1.0)
-    cmd.add_argument("--c2", type=float, default=1.0)
-    cmd.add_argument("--c3", type=float, default=1.0)
-    cmd.add_argument("--c4", type=float, default=1.0)
+    for kind, amplitudes in sweep_mod.FAMILY_AMPLITUDES.items():
+        for name, _ in amplitudes:
+            cmd.add_argument(f"--{name}", type=float, help=f"{kind.value} amplitude")
 
     cmd = commands.add_parser(
         "diff-formulas",
@@ -101,8 +98,14 @@ def _cmd_check_channel(args) -> int:
 
 def _cmd_teleport(args) -> int:
     kind = ResourceKind(args.kind)
-    ghz = kind is ResourceKind.GHZ
-    params = (args.alpha, args.beta) if ghz else (args.c1, args.c2, args.c3, args.c4)
+    params = []
+    for family, amplitudes in sweep_mod.FAMILY_AMPLITUDES.items():
+        for name, default in amplitudes:
+            value = getattr(args, name)
+            if family is kind:
+                params.append(default if value is None else value)
+            elif value is not None:
+                raise ValueError(f"--{name} does not apply to --kind {kind.value}")
     resource = sweep_mod.resource_vector(kind, params)
     kraus = build_kraus(KrausVariant(args.kraus), args.p, args.gamma)
     rho = apply_channel(

@@ -1,7 +1,9 @@
 """Dense complex matrix algebra for small multi-qubit operators (dimension <= 16).
 
 Qubit ordering is big-endian: qubit 0 is the leftmost tensor factor, matching
-the ket notation |q1 q2 q3>. All functions are pure and never mutate inputs.
+the ket notation |q1 q2 q3>. Operations on some qubits act on the axes of the
+(2,)*2n register tensor, row axes first. All functions are pure and never
+mutate inputs.
 """
 
 from __future__ import annotations
@@ -39,20 +41,6 @@ def num_qubits(dim: int) -> int:
     return n
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with a's indices major."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
-
-
 def real_trace(a, tol: float = HERMITICITY_TOL) -> float:
     """Trace of a matrix that must be real up to `tol` (e.g. a density matrix)."""
     t = complex(np.trace(as_matrix(a)))
@@ -86,31 +74,43 @@ def _check_square_register(rho) -> tuple[np.ndarray, int]:
     return m, num_qubits(m.shape[0])
 
 
-def lift_operator(op, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Embed an operator acting on `qubits` into the full n-qubit register.
-
-    `op` is a 2^k x 2^k matrix whose tensor slots correspond to `qubits` in the
-    order given; unlisted qubits get the identity.
-    """
-    op = as_matrix(op)
-    qubits = tuple(qubits)
-    k = len(qubits)
-    if len(set(qubits)) != k:
+def check_qubits(qubits, n_qubits: int) -> tuple[int, ...]:
+    """The qubit list as a tuple of ints, rejecting duplicates and out-of-range indices."""
+    qubits = tuple(int(q) for q in qubits)
+    if len(set(qubits)) != len(qubits):
         raise ValueError(f"qubit list {qubits} contains duplicates")
     if any(q < 0 or q >= n_qubits for q in qubits):
         raise ValueError(f"qubit list {qubits} out of range for {n_qubits} qubits")
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} qubits")
-    if k == n_qubits and qubits == tuple(range(n_qubits)):
-        return op.copy()
-    rest = [q for q in range(n_qubits) if q not in qubits]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
-    # `full` has tensor-slot order (qubits..., rest...); permute to 0..n-1.
-    slot_of = {q: i for i, q in enumerate(list(qubits) + rest)}
-    perm = [slot_of[q] for q in range(n_qubits)]
-    t = full.reshape([2] * (2 * n_qubits))
-    t = t.transpose(perm + [n_qubits + i for i in perm])
-    return np.ascontiguousarray(t.reshape(2**n_qubits, 2**n_qubits))
+    return qubits
+
+
+def apply_local(ops, rho, qubits) -> np.ndarray:
+    """sum_m A_m rho A_m^dagger for a stack of operators A_m acting on `qubits`.
+
+    `ops` is a sequence of 2^k x 2^k matrices whose tensor slots correspond to
+    `qubits` in the order given; unlisted qubits are left alone. The stack is
+    contracted against those qubits' row and column axes of the register
+    tensor, so no operator is embedded into the full register.
+    """
+    m, n = _check_square_register(rho)
+    qubits = check_qubits(qubits, n)
+    k = len(qubits)
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != 3 or ops.shape[1:] != (2**k, 2**k):
+        raise ValueError(f"operator stack shape {ops.shape} does not match {k} qubits")
+    a = ops.reshape([len(ops)] + [2] * (2 * k))
+    # Row q of the register is label q and column q is n + q. The j-th listed
+    # qubit's new row and column are 2n + j and 3n + j; label 4n sums the stack.
+    rows, cols = range(2 * n, 2 * n + k), range(3 * n, 3 * n + k)
+    out = list(range(2 * n))
+    for q, r, c in zip(qubits, rows, cols):
+        out[q], out[n + q] = r, c
+    return np.einsum(
+        a, [4 * n, *rows, *qubits],
+        m.reshape([2] * (2 * n)), list(range(2 * n)),
+        a.conj(), [4 * n, *cols, *(n + q for q in qubits)],
+        out,
+    ).reshape(m.shape)
 
 
 def partial_transpose(rho, qubit: int, n_qubits: int | None = None) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .channels import ApplicationMode, KrausVariant
 from .errors import RunfileError
 from .states import SQRT_HALF
-from .sweep import Quantity, SweepSpec
+from .sweep import FAMILY_AMPLITUDES, Quantity, SweepSpec
 from .teleport import BellOutcome, CharlieOutcome, ResourceKind
 
 _SECTIONS = ("state", "channel", "sweep", "output")
@@ -161,16 +161,10 @@ def parse_runfile(path) -> RunConfig:
     if kind_entry is None:
         raise RunfileError("missing required key 'kind' in [state]", state.line)
     kind = _token(kind_entry, "kind", _KIND_TOKENS)
-    if kind is ResourceKind.GHZ:
-        params = tuple(
-            _float(entry, key) if (entry := state.take(key)) else SQRT_HALF
-            for key in ("alpha", "beta")
-        )
-    else:
-        params = tuple(
-            _float(entry, key) if (entry := state.take(key)) else 1.0
-            for key in ("c1", "c2", "c3", "c4")
-        )
+    params = tuple(
+        _float(entry, key) if (entry := state.take(key)) else default
+        for key, default in FAMILY_AMPLITUDES[kind]
+    )
     mu = _float(entry, "mu") if (entry := state.take("mu")) else SQRT_HALF
     nu = _float(entry, "nu") if (entry := state.take("nu")) else SQRT_HALF
     _reject_unknown(state)

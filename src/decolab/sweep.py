@@ -32,6 +32,13 @@ _ANALYZER = (CharlieOutcome.X1, CharlieOutcome.X2)
 _COMPUTATIONAL = (CharlieOutcome.ZERO, CharlieOutcome.ONE)
 
 
+# Amplitude names and defaults of each resource family, in argument order.
+FAMILY_AMPLITUDES = {
+    ResourceKind.GHZ: (("alpha", states.SQRT_HALF), ("beta", states.SQRT_HALF)),
+    ResourceKind.GHZ_LIKE: (("c1", 1.0), ("c2", 1.0), ("c3", 1.0), ("c4", 1.0)),
+}
+
+
 def resource_vector(kind: ResourceKind, params) -> np.ndarray:
     """State vector of a resource family from its amplitudes."""
     if kind is ResourceKind.GHZ:
@@ -60,13 +67,13 @@ class SweepSpec:
     charlie: CharlieOutcome | None = None
 
     def __post_init__(self):
+        amplitudes = FAMILY_AMPLITUDES[self.kind]
         if not self.state_params:
-            default = (states.SQRT_HALF,) * 2 if self.kind is ResourceKind.GHZ else (1, 1, 1, 1)
-            object.__setattr__(self, "state_params", default)
-        expected = 2 if self.kind is ResourceKind.GHZ else 4
-        if len(self.state_params) != expected:
+            object.__setattr__(self, "state_params", tuple(d for _, d in amplitudes))
+        if len(self.state_params) != len(amplitudes):
             raise ValueError(
-                f"{self.kind.value} takes {expected} state parameters, got {len(self.state_params)}"
+                f"{self.kind.value} takes {len(amplitudes)} state parameters, "
+                f"got {len(self.state_params)}"
             )
         self.resource_vector()  # normalization check
         states.qubit(self.mu, self.nu)

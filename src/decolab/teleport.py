@@ -112,7 +112,8 @@ def correction_matrix(correction: Correction) -> np.ndarray:
 
 
 def project_measurement(rho, projector, qubits) -> tuple[float, np.ndarray | None]:
-    """Project a state onto a measurement outcome on a subset of qubits.
+    """Project a state onto a measurement outcome on a subset of qubits, the
+    projector's tensor slots following `qubits` in the order given.
 
     Returns (probability, post-state on the unmeasured qubits). A branch with
     probability below the zero threshold returns (0.0, None) - absent, not NaN.
@@ -128,8 +129,7 @@ def project_measurement(rho, projector, qubits) -> tuple[float, np.ndarray | Non
     keep = [q for q in range(n) if q not in qubits]
     if not keep:
         raise ValueError("measuring every qubit leaves no post-measurement register")
-    lifted = linalg.lift_operator(proj, qubits, n)
-    post = lifted @ m @ lifted
+    post = linalg.apply_local([proj], m, qubits)
     probability = linalg.real_trace(post)
     if probability <= ZERO_TRACE_TOL:
         return 0.0, None

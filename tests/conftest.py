@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,18 @@ def random_payload(rng) -> tuple[complex, complex]:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v = v / np.linalg.norm(v)
     return complex(v[0]), complex(v[1])
+
+
+def kron_embed(op, qubits, n: int) -> np.ndarray:
+    """`op` acting on `qubits` (slots in the order given) of an n-qubit register,
+    expanded in matrix units and placed factor by factor with np.kron."""
+    k = len(qubits)
+    t = np.asarray(op, dtype=complex).reshape([2] * (2 * k))
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for index in np.ndindex(*t.shape):
+        factors = [np.eye(2)] * n
+        for j, q in enumerate(qubits):
+            factors[q] = np.zeros((2, 2))
+            factors[q][index[j], index[k + j]] = 1.0
+        full += t[index] * functools.reduce(np.kron, factors)
+    return full

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decolab import states
 from decolab.channels import (
@@ -220,6 +220,7 @@ def test_apply_matches_kron_sum_oracle(seed, p, gamma, variant, mode, qubits):
 
 @settings(max_examples=60, deadline=None)
 @given(seeds, unit_interval, unit_interval, unit_interval)
+@example(seed=0, p=0.0, gamma1=0.5, gamma2=1.0 - 2.0**-53)
 def test_gad_semigroup(seed, p, gamma1, gamma2):
     # two damping steps at one p compose to one step of 1 - (1-g1)(1-g2)
     rho = random_density(np.random.default_rng(seed), 8)
@@ -227,5 +228,9 @@ def test_gad_semigroup(seed, p, gamma1, gamma2):
     twice = apply_channel(
         apply_channel(rho, gad_standard(p, gamma1), qubits), gad_standard(p, gamma2), qubits
     )
-    once = apply_channel(rho, gad_standard(p, 1.0 - (1.0 - gamma1) * (1.0 - gamma2)), qubits)
-    assert np.abs(twice - once).max() <= 1e-13
+    gamma12 = 1.0 - (1.0 - gamma1) * (1.0 - gamma2)
+    once = apply_channel(rho, gad_standard(p, gamma12), qubits)
+    # gamma12 can round (to 1.0 when gamma2 is within an ulp of 1), and sqrt(1 - gamma)
+    # amplifies that; the coherence factor's rounding gap is added to the tolerance.
+    gap = abs(np.sqrt(1.0 - gamma1) * np.sqrt(1.0 - gamma2) - np.sqrt(1.0 - gamma12))
+    assert np.abs(twice - once).max() <= 1e-13 + 3.0 * gap

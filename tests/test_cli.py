@@ -1,4 +1,12 @@
+from pathlib import Path
+
+import pytest
+
 from decolab.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from decolab.runfile import parse_runfile
+from decolab.sweep import read_csv
+
+FROZEN = Path(__file__).resolve().parents[1] / "benchmarks" / "frozen"
 
 RUNFILE = """\
 [state]
@@ -106,6 +114,38 @@ def test_teleport_damped_ghz(capsys):
 
 def test_teleport_rejects_bad_payload(capsys):
     assert main(["teleport", "--mu", "1", "--nu", "1"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "kind, option",
+    [("ghz_like", "--alpha"), ("ghz_like", "--beta")]
+    + [("ghz", f"--c{i}") for i in range(1, 5)],
+)
+def test_teleport_rejects_other_family_amplitude(capsys, kind, option):
+    assert main(["teleport", "--kind", kind, option, "5"]) == EXIT_VALIDATION
+    assert f"{option} does not apply to --kind {kind}" in capsys.readouterr().err
+
+
+def test_teleport_takes_its_family_amplitudes(capsys):
+    ghz_like = ["--c1", "1", "--c2", "1", "--c3", "1", "--c4", "1", "--theta", "0.7"]
+    assert main(["teleport", "--kind", "ghz_like", *ghz_like]) == EXIT_OK
+    assert "average fidelity = 1.000000" in capsys.readouterr().out
+    assert main(["teleport", "--kind", "ghz", "--alpha", "1", "--beta", "0"]) == EXIT_OK
+    assert main(["teleport", "--kind", "ghz", "--alpha", "1", "--beta", "1"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("ini", sorted(FROZEN.glob("*.ini")), ids=lambda p: p.stem)
+def test_frozen_runfile_reproduces_its_csv(tmp_path, monkeypatch, capsys, ini):
+    # the frozen run files write their CSV (and SVG) relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", str(ini)]) == EXIT_OK
+    csv_name = parse_runfile(ini).csv_path
+    want = read_csv(FROZEN / csv_name)
+    got = read_csv(tmp_path / csv_name)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.p, g.gamma, g.theta, g.quantity) == (w.p, w.gamma, w.theta, w.quantity)
+        assert abs(g.value - w.value) <= 1e-12
 
 
 def test_diff_formulas_writes_ledger(tmp_path, capsys):

@@ -7,50 +7,17 @@ from decolab.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    dagger,
+    apply_local,
     hermitian_eigenvalues,
-    lift_operator,
     partial_trace,
     partial_transpose,
-    tensor,
 )
 
-from conftest import random_density
+from conftest import kron_embed, random_density
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 PHI_PLUS = (np.kron(KET0, KET0) + np.kron(KET1, KET1)) / np.sqrt(2)
-
-
-def test_tensor_identity():
-    assert np.array_equal(tensor(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-
-def test_tensor_basis_projector_placement():
-    p0 = np.outer(KET0, KET0)
-    p1 = np.outer(KET1, KET1)
-    assert np.array_equal(tensor(p0, p1), np.diag([0, 1, 0, 0]).astype(complex))
-
-
-def test_tensor_sigma_x_pair_flips_00():
-    out = tensor(SIGMA_X, SIGMA_X) @ np.kron(KET0, KET0)
-    assert np.array_equal(out, np.kron(KET1, KET1))
-
-
-def test_tensor_associative_exactly(rng):
-    for _ in range(5):
-        a = rng.integers(-3, 4, size=(2, 2)) + 1j * rng.integers(-3, 4, size=(2, 2))
-        b = rng.integers(-3, 4, size=(3, 2)) + 0j
-        c = rng.integers(-3, 4, size=(2, 3)) + 0j
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert np.array_equal(left, right)
-
-
-def test_dagger():
-    assert np.array_equal(dagger(IDENTITY_2), IDENTITY_2)
-    assert np.array_equal(dagger(SIGMA_Y), SIGMA_Y)
-    assert np.array_equal(dagger([[0, 2], [0, 0]]), np.array([[0, 0], [2, 0]]))
 
 
 def test_pauli_algebra():
@@ -59,7 +26,6 @@ def test_pauli_algebra():
 
 def test_trace_and_norm_basics():
     assert linalg.real_trace(np.eye(8)) == 8.0
-    assert linalg.frobenius_norm(np.zeros((4, 4))) == 0.0
 
 
 def test_nan_rejected():
@@ -167,33 +133,63 @@ def test_eigenvalues_reject_non_hermitian():
         hermitian_eigenvalues([[0, 1], [0, 0]])
 
 
-def test_lift_operator_single_qubit():
-    assert np.array_equal(lift_operator(SIGMA_X, (1,), 2), np.kron(IDENTITY_2, SIGMA_X))
-    assert np.array_equal(lift_operator(SIGMA_X, (0,), 2), np.kron(SIGMA_X, IDENTITY_2))
+def sandwich(op, rho):
+    return op @ rho @ op.conj().T
 
 
-def test_lift_operator_contiguous_block():
+def test_apply_local_single_qubit(rng):
+    rho = random_density(rng, 4)
+    out = apply_local([SIGMA_X], rho, (1,))
+    assert np.allclose(out, sandwich(np.kron(IDENTITY_2, SIGMA_X), rho), atol=1e-15)
+    out = apply_local([SIGMA_X], rho, (0,))
+    assert np.allclose(out, sandwich(np.kron(SIGMA_X, IDENTITY_2), rho), atol=1e-15)
+
+
+def test_apply_local_contiguous_block(rng):
+    rho = random_density(rng, 8)
     proj = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    assert np.allclose(lift_operator(proj, (0, 1), 3), np.kron(proj, IDENTITY_2))
-    assert np.allclose(lift_operator(proj, (1, 2), 3), np.kron(IDENTITY_2, proj))
+    out = apply_local([proj], rho, (0, 1))
+    assert np.allclose(out, sandwich(np.kron(proj, IDENTITY_2), rho), atol=1e-15)
+    out = apply_local([proj], rho, (1, 2))
+    assert np.allclose(out, sandwich(np.kron(IDENTITY_2, proj), rho), atol=1e-15)
 
 
-def test_lift_operator_non_contiguous(rng):
-    # acting on qubits (0, 2) of 3: oracle via explicit basis mapping
-    op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    lifted = lift_operator(op, (0, 2), 3)
+def test_apply_local_non_contiguous(rng):
+    # a stack of two operators on qubits (0, 2) of 3: oracle via explicit basis mapping
+    rho = random_density(rng, 8)
+    ops = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
     expected = np.zeros((8, 8), dtype=complex)
-    for r in range(8):
-        for c in range(8):
-            r0, r1, r2 = (r >> 2) & 1, (r >> 1) & 1, r & 1
-            c0, c1, c2 = (c >> 2) & 1, (c >> 1) & 1, c & 1
-            if r1 == c1:
-                expected[r, c] = op[2 * r0 + r2, 2 * c0 + c2]
-    assert np.allclose(lifted, expected, atol=1e-14)
+    for op in ops:
+        lifted = np.zeros((8, 8), dtype=complex)
+        for r in range(8):
+            for c in range(8):
+                r0, r1, r2 = (r >> 2) & 1, (r >> 1) & 1, r & 1
+                c0, c1, c2 = (c >> 2) & 1, (c >> 1) & 1, c & 1
+                if r1 == c1:
+                    lifted[r, c] = op[2 * r0 + r2, 2 * c0 + c2]
+        assert np.array_equal(kron_embed(op, (0, 2), 3), lifted)
+        expected += sandwich(lifted, rho)
+    assert np.allclose(apply_local(ops, rho, (0, 2)), expected, atol=1e-13)
 
 
-def test_lift_operator_order_matters():
+def test_apply_local_order_matters(rng):
     # (q0, q1) vs (q1, q0) differ by a swap of the operator's slots
+    rho = random_density(rng, 4)
     op = np.kron(SIGMA_X, SIGMA_Z)
-    assert np.array_equal(lift_operator(op, (0, 1), 2), op)
-    assert np.array_equal(lift_operator(op, (1, 0), 2), np.kron(SIGMA_Z, SIGMA_X))
+    assert np.allclose(apply_local([op], rho, (0, 1)), sandwich(op, rho), atol=1e-15)
+    swapped = sandwich(np.kron(SIGMA_Z, SIGMA_X), rho)
+    assert np.allclose(apply_local([op], rho, (1, 0)), swapped, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "ops, qubits, fragment",
+    [
+        ([SIGMA_X], (1, 1), "duplicates"),
+        ([SIGMA_X], (3,), "out of range"),
+        ([SIGMA_X], (0, 1), "does not match 2 qubits"),
+        (SIGMA_X, (0,), "does not match 1 qubits"),
+    ],
+)
+def test_apply_local_rejects_bad_input(ops, qubits, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        apply_local(ops, np.eye(8) / 8, qubits)

@@ -15,7 +15,7 @@ from decolab.teleport import (
     run_protocol,
 )
 
-from conftest import random_payload
+from conftest import kron_embed, random_density, random_payload
 
 B, C = BellOutcome, CharlieOutcome
 
@@ -85,6 +85,20 @@ def test_project_bell_branch_of_ideal_system():
     assert prob == pytest.approx(0.25, abs=1e-12)
     # branch state on (2, 3) is mu|00> + nu|11>, here phi+ itself
     assert np.allclose(post, np.outer(phi_plus, phi_plus.conj()), atol=1e-12)
+
+
+def test_project_non_contiguous_reversed_qubits(rng):
+    # rank-1 projector on qubits (2, 0) of a random 3-qubit state; Bob keeps qubit 1
+    rho = random_density(rng, 8)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    proj = np.outer(v, v.conj()) / np.vdot(v, v).real
+    prob, post = project_measurement(rho, proj, (2, 0))
+    lifted = kron_embed(proj, (2, 0), 3)
+    branch = lifted @ rho @ lifted
+    expected_prob = np.trace(branch).real
+    expected_post = np.einsum("aibajb->ij", branch.reshape([2] * 6)) / expected_prob
+    assert prob == pytest.approx(expected_prob, abs=1e-14)
+    assert np.allclose(post, expected_post, atol=1e-13)
 
 
 def test_project_impossible_outcome_absent():
