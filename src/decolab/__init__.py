@@ -65,7 +65,6 @@ from .teleport import (
     correction_lookup,
     correction_matrix,
     fidelity,
-    project_measurement,
     run_protocol,
 )
 
@@ -120,7 +119,6 @@ __all__ = [
     "maximal_ghz_like",
     "negativity_cut",
     "parse_runfile",
-    "project_measurement",
     "qubit",
     "read_csv",
     "run_protocol",

@@ -3,9 +3,6 @@
 # Maximum allowed |H - H^dagger| entry before a matrix is rejected as non-Hermitian.
 HERMITICITY_TOL = 1e-10
 
-# Trace bookkeeping (partial traces, channel outputs).
-TRACE_TOL = 1e-12
-
 # State-vector and parameter normalization (|alpha|^2 + |beta|^2 = 1, etc.).
 NORM_TOL = 1e-10
 
@@ -22,9 +19,6 @@ NEG_EIG_CUTOFF = 1e-12
 # Renormalizing a channel output with a trace at or below this is an error,
 # never a silent zero state.
 ZERO_TRACE_TOL = 1e-14
-
-# Measurement operators must satisfy P^2 = P within this.
-PROJECTOR_TOL = 1e-10
 
 # Largest imaginary residue tolerated in a quantity that must be real
 # (probabilities, fidelities, analytic formula outputs).

@@ -126,26 +126,6 @@ def partial_transpose(rho, qubit: int, n_qubits: int | None = None) -> np.ndarra
     return np.ascontiguousarray(t.transpose(axes).reshape(m.shape))
 
 
-def partial_trace(rho, keep, n_qubits: int | None = None) -> np.ndarray:
-    """Reduced matrix on the kept qubits, in ascending original-index order."""
-    m, n = _check_square_register(rho)
-    if n_qubits is not None and n_qubits != n:
-        raise ValueError(f"matrix dimension {m.shape[0]} does not match {n_qubits} qubits")
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"keep set {keep} out of range for {n} qubits")
-    if keep == list(range(n)):
-        return m.copy()
-    t = m.reshape([2] * (2 * n))
-    # Row axis q gets label q; column axis q gets the same label when traced out.
-    row = list(range(n))
-    col = [q if q not in keep else n + q for q in range(n)]
-    out = [q for q in keep] + [n + q for q in keep]
-    return np.einsum(t, row + col, out).reshape(2 ** len(keep), 2 ** len(keep))
-
-
 def hermitian_eigenvalues(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, ascending."""
     m = as_matrix(h)

@@ -28,6 +28,7 @@ the offending line - nothing is silently ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .channels import ApplicationMode, KrausVariant
@@ -210,6 +211,9 @@ def parse_runfile(path) -> RunConfig:
     theta_values: tuple[float, ...] = (0.0,)
     if entry := sweep_section.take("theta_values"):
         theta_values = _float_list(entry, "theta_values")
+        for theta in theta_values:
+            if not math.isfinite(theta):
+                raise RunfileError(f"theta value {theta} is not finite", entry[1])
     bell = charlie = None
     if entry := sweep_section.take("bell"):
         bell = _token(entry, "bell", _BELL_TOKENS)

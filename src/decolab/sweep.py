@@ -86,6 +86,9 @@ class SweepSpec:
             raise ValueError("gamma grid must lie within [0, 1]")
         if self.gamma_count < (1 if self.gamma_start == self.gamma_stop else 2):
             raise ValueError("gamma grid needs at least 2 points (1 if gamma_start == gamma_stop)")
+        for theta in self.theta_values:
+            if not math.isfinite(theta):
+                raise ValueError(f"theta value {theta} is not finite")
         if self.quantity is Quantity.FIDELITY_BRANCH:
             if self.bell is None or self.charlie is None:
                 raise ValueError("fidelity_branch requires a (bell, charlie) selector")

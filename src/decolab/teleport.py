@@ -11,6 +11,12 @@ qubit 2, Charlie holds qubit 3. A run enumerates every branch of:
   3. Bob applies the correction the lookup table assigns to the two classical
      outcomes, and his state is scored against the payload.
 
+No branch is projected one by one. Folding the payload into Alice's Bell bra
+leaves, for branch (b, c), a bra on resource qubits 1 and 3 alone; two pairwise
+einsums over the resource tensor give Bob's unnormalised state for all 8
+branches at once. Its traces are the joint probabilities; a Bell outcome's
+probability is their sum over Charlie's outcomes.
+
 The correction tables ship exactly as published in the protocol they implement.
 The GHZ-kind table pairs every branch with I or S_z only; on a standard Bell
 basis the psi+- branches would also need a bit flip, so those branches cannot
@@ -20,19 +26,14 @@ per-branch report keeps the defect visible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import linalg, states
-from .constants import (
-    HERMITICITY_TOL,
-    NORM_TOL,
-    PROJECTOR_TOL,
-    REAL_RESIDUE_TOL,
-    ZERO_TRACE_TOL,
-)
+from .constants import HERMITICITY_TOL, NORM_TOL, REAL_RESIDUE_TOL, ZERO_TRACE_TOL
 
 
 class BellOutcome(Enum):
@@ -63,6 +64,10 @@ class ResourceKind(Enum):
 
 _B = BellOutcome
 _C = CharlieOutcome
+
+# Conjugated Bell vectors as bra[b, a, x]: outcome, payload qubit, resource qubit 1.
+_BELL_BRAS = np.array(states.bell_basis()).conj().reshape(4, 2, 2)
+_BELL_BRAS.flags.writeable = False
 
 _GHZ_TABLE = {
     (_B.PHI_PLUS, _C.X1): Correction.IDENTITY,
@@ -109,32 +114,6 @@ def correction_matrix(correction: Correction) -> np.ndarray:
     if correction is Correction.SX:
         return linalg.SIGMA_X.copy()
     return linalg.SIGMA_X @ linalg.SIGMA_Z
-
-
-def project_measurement(rho, projector, qubits) -> tuple[float, np.ndarray | None]:
-    """Project a state onto a measurement outcome on a subset of qubits, the
-    projector's tensor slots following `qubits` in the order given.
-
-    Returns (probability, post-state on the unmeasured qubits). A branch with
-    probability below the zero threshold returns (0.0, None) - absent, not NaN.
-    """
-    m = linalg.as_matrix(rho)
-    n = linalg.num_qubits(m.shape[0])
-    qubits = tuple(int(q) for q in qubits)
-    proj = linalg.as_matrix(projector)
-    if not linalg.is_hermitian(proj, PROJECTOR_TOL):
-        raise ValueError("projector is not Hermitian")
-    if np.abs(proj @ proj - proj).max() > PROJECTOR_TOL:
-        raise ValueError("projector is not idempotent")
-    keep = [q for q in range(n) if q not in qubits]
-    if not keep:
-        raise ValueError("measuring every qubit leaves no post-measurement register")
-    post = linalg.apply_local([proj], m, qubits)
-    probability = linalg.real_trace(post)
-    if probability <= ZERO_TRACE_TOL:
-        return 0.0, None
-    reduced = linalg.partial_trace(post, keep, n) / probability
-    return float(min(probability, 1.0)), reduced
 
 
 def fidelity(bob, mu, nu) -> float:
@@ -186,43 +165,43 @@ def run_protocol(mu, nu, resource, kind: ResourceKind, theta: float = 0.0) -> Pr
     `theta` sets Charlie's analyzer angle and applies to the GHZ kind only;
     the GHZ-like kind measures Charlie's qubit in the computational basis.
     """
-    rho_resource = linalg.three_qubit_density(resource)
-    payload = states.qubit(mu, nu)
-    rho_s = np.kron(states.density(payload), rho_resource)
-
+    if not math.isfinite(theta):
+        raise ValueError(f"analyzer angle theta = {theta} is not finite")
     if kind is ResourceKind.GHZ:
-        x1, x2 = states.analyzer_basis(theta)
-        charlie_branches = [(_C.X1, x1), (_C.X2, x2)]
+        charlie_outcomes, charlie_vecs = (_C.X1, _C.X2), np.array(states.analyzer_basis(theta))
     elif kind is ResourceKind.GHZ_LIKE:
-        zero = np.array([1, 0], dtype=complex)
-        one = np.array([0, 1], dtype=complex)
-        charlie_branches = [(_C.ZERO, zero), (_C.ONE, one)]
+        charlie_outcomes, charlie_vecs = (_C.ZERO, _C.ONE), linalg.IDENTITY_2
     else:
         raise ValueError(f"unknown resource kind {kind!r}")
+    rho = linalg.three_qubit_density(resource).reshape([2] * 6)
+    payload = states.qubit(mu, nu)
+
+    # bra[b, c, x, z] on resource qubits 1 (x) and 3 (z): Alice's Bell bra with
+    # the payload folded in, times Charlie's bra. Bob keeps qubit 2 (y).
+    bra = np.einsum("bax,a,cz->bcxz", _BELL_BRAS, payload, charlie_vecs.conj())
+    half = np.einsum("bcxz,xyzuvw->bcyuvw", bra, rho)
+    sigma = np.einsum("bcyuvw,bcuw->bcyv", half, bra.conj())
+    joint = np.einsum("bcyy->bc", sigma)
+    residue = np.abs(joint.imag).max()
+    if residue > HERMITICITY_TOL:
+        raise ValueError(f"trace has imaginary residue {residue:.3e}")
+    joint = joint.real
 
     runs: list[ProtocolRun] = []
-    for bell, bell_vec in zip(BellOutcome, states.bell_basis()):
-        bell_prob, rho_bc = project_measurement(
-            rho_s, np.outer(bell_vec, bell_vec.conj()), (0, 1)
-        )
-        for charlie, charlie_vec in charlie_branches:
-            if rho_bc is None:
-                runs.append(ProtocolRun(bell, charlie, 0.0, None, None))
-                continue
-            # Charlie holds original qubit 3, i.e. slot 1 of the reduced pair.
-            charlie_prob, bob = project_measurement(
-                rho_bc, np.outer(charlie_vec, charlie_vec.conj()), (1,)
-            )
-            if bob is None:
+    for b, bell in enumerate(BellOutcome):
+        bell_prob = joint[b].sum()
+        for c, charlie in enumerate(charlie_outcomes):
+            conditional = joint[b, c] / bell_prob if bell_prob > ZERO_TRACE_TOL else 0.0
+            if conditional <= ZERO_TRACE_TOL:
                 runs.append(ProtocolRun(bell, charlie, 0.0, None, None))
                 continue
             u = correction_matrix(correction_lookup(kind, bell, charlie))
-            corrected = u @ bob @ u.conj().T
+            corrected = u @ (sigma[b, c] / joint[b, c]) @ u.conj().T
             runs.append(
                 ProtocolRun(
                     bell,
                     charlie,
-                    bell_prob * charlie_prob,
+                    float(min(bell_prob, 1.0) * min(conditional, 1.0)),
                     corrected,
                     fidelity(corrected, mu, nu),
                 )

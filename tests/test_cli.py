@@ -70,6 +70,20 @@ def test_sweep_invalid_runfile_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quantity", ["negativity", "fidelity_avg"])
+def test_sweep_rejects_non_finite_theta(tmp_path, capsys, quantity):
+    csv_path = tmp_path / "out.csv"
+    runfile = tmp_path / "run.ini"
+    runfile.write_text(
+        RUNFILE.format(csv=csv_path).replace(
+            "quantity = negativity", f"quantity = {quantity}\ntheta_values = nan, inf"
+        )
+    )
+    assert main(["sweep", str(runfile)]) == EXIT_VALIDATION
+    assert "error: line 6: theta value nan is not finite" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_sweep_missing_runfile_exit_code(tmp_path, capsys):
     assert main(["sweep", str(tmp_path / "nope.ini")]) == EXIT_IO
 
@@ -101,6 +115,13 @@ def test_teleport_negative_exponent_reaches_validation(capsys):
     # parsed as the value of --p, then rejected by the channel's range check
     assert main(["teleport", "--p", "-1e-05"]) == EXIT_VALIDATION
     assert "outside [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["ghz", "ghz_like"])
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_teleport_rejects_non_finite_theta(capsys, kind, theta):
+    assert main(["teleport", "--kind", kind, f"--theta={theta}"]) == EXIT_VALIDATION
+    assert f"error: analyzer angle theta = {theta} is not finite" in capsys.readouterr().err
 
 
 def test_teleport_damped_ghz(capsys):

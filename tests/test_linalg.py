@@ -9,7 +9,6 @@ from decolab.linalg import (
     SIGMA_Z,
     apply_local,
     hermitian_eigenvalues,
-    partial_trace,
     partial_transpose,
 )
 
@@ -63,35 +62,6 @@ def test_partial_transpose_preserves_trace_and_hermiticity(rng):
 def test_partial_transpose_bad_qubit():
     with pytest.raises(ValueError, match="out of range"):
         partial_transpose(np.eye(4), 2)
-
-
-def test_partial_trace_product_state(rng):
-    rho_a = random_density(rng, 2)
-    rho_b = random_density(rng, 2)
-    out = partial_trace(np.kron(rho_a, rho_b), keep={0})
-    assert np.allclose(out, rho_a * np.trace(rho_b), atol=1e-14)
-
-
-def test_partial_trace_bell_marginal():
-    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    assert np.allclose(partial_trace(rho, keep={1}), np.eye(2) / 2, atol=1e-14)
-
-
-def test_partial_trace_keep_all(rng):
-    rho = random_density(rng, 8)
-    assert np.array_equal(partial_trace(rho, keep={0, 1, 2}), rho)
-
-
-def test_partial_trace_preserves_trace(rng):
-    rho = random_density(rng, 16)
-    for keep in ({0}, {1, 3}, {0, 2}, {0, 1, 2, 3}):
-        reduced = partial_trace(rho, keep)
-        assert abs(np.trace(reduced) - np.trace(rho)) < 1e-12
-
-
-def test_partial_trace_empty_keep():
-    with pytest.raises(ValueError, match="nonempty"):
-        partial_trace(np.eye(4), keep=set())
 
 
 def test_eigenvalues_diagonal():

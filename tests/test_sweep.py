@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,8 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError, match="state parameters"):
         SweepSpec(kind=ResourceKind.GHZ, quantity=Quantity.NEGATIVITY, state_params=(1, 0, 0, 0))
+    with pytest.raises(ValueError, match="theta value nan is not finite"):
+        SweepSpec(kind=ResourceKind.GHZ, quantity=Quantity.NEGATIVITY, theta_values=(0.0, math.nan))
 
 
 def test_one_point_gamma_grid():
@@ -378,6 +382,7 @@ series = p
         ("quantity = negativity\ngamma_start = 0.5\ngamma_stop = 0.5\ngamma_count = 0", "at least 2"),
         ("quantity = negativity\nsurprise = 1", "unknown key 'surprise'"),
         ("quantity = everything", "quantity must be one of"),
+        ("quantity = negativity\ntheta_values = 0, nan", "line 6: theta value nan is not finite"),
     ],
 )
 def test_runfile_errors_name_their_line(tmp_path, line, fragment):

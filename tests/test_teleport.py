@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decolab import states
+from decolab.constants import ZERO_TRACE_TOL
 from decolab.channels import apply_channel, gad_standard
 from decolab.teleport import (
     BellOutcome,
@@ -11,7 +13,6 @@ from decolab.teleport import (
     correction_lookup,
     correction_matrix,
     fidelity,
-    project_measurement,
     run_protocol,
 )
 
@@ -66,52 +67,6 @@ def test_correction_matrices():
     sz = np.diag([1, -1]).astype(complex)
     assert np.array_equal(correction_matrix(Correction.SX), sx)
     assert np.array_equal(correction_matrix(Correction.SX_SZ), sx @ sz)
-
-
-def test_project_certain_outcome():
-    rho = states.density(states.ghz(1, 0))  # |000>
-    prob, post = project_measurement(rho, np.diag([1, 0]).astype(complex), (0,))
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = 1.0
-    assert np.allclose(post, expected, atol=1e-12)
-
-
-def test_project_bell_branch_of_ideal_system():
-    s = 1 / np.sqrt(2)
-    rho = np.kron(states.density(states.qubit(s, s)), states.density(states.maximal_ghz()))
-    phi_plus = states.bell_basis()[0]
-    prob, post = project_measurement(rho, np.outer(phi_plus, phi_plus.conj()), (0, 1))
-    assert prob == pytest.approx(0.25, abs=1e-12)
-    # branch state on (2, 3) is mu|00> + nu|11>, here phi+ itself
-    assert np.allclose(post, np.outer(phi_plus, phi_plus.conj()), atol=1e-12)
-
-
-def test_project_non_contiguous_reversed_qubits(rng):
-    # rank-1 projector on qubits (2, 0) of a random 3-qubit state; Bob keeps qubit 1
-    rho = random_density(rng, 8)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    proj = np.outer(v, v.conj()) / np.vdot(v, v).real
-    prob, post = project_measurement(rho, proj, (2, 0))
-    lifted = kron_embed(proj, (2, 0), 3)
-    branch = lifted @ rho @ lifted
-    expected_prob = np.trace(branch).real
-    expected_post = np.einsum("aibajb->ij", branch.reshape([2] * 6)) / expected_prob
-    assert prob == pytest.approx(expected_prob, abs=1e-14)
-    assert np.allclose(post, expected_post, atol=1e-13)
-
-
-def test_project_impossible_outcome_absent():
-    rho = states.density(states.ghz(1, 0))
-    prob, post = project_measurement(rho, np.diag([0, 1]).astype(complex), (0,))
-    assert prob == 0.0
-    assert post is None
-
-
-def test_project_rejects_non_projector():
-    rho = states.density(states.qubit(1, 0))
-    with pytest.raises(ValueError, match="idempotent"):
-        project_measurement(np.kron(rho, rho), np.diag([0.5, 0.5]).astype(complex), (0,))
 
 
 def test_fidelity_examples():
@@ -246,3 +201,97 @@ def test_rejects_bad_resource():
         run_protocol(1, 0, np.eye(4) / 4, ResourceKind.GHZ)
     with pytest.raises(ValueError, match="trace"):
         run_protocol(1, 0, np.eye(8), ResourceKind.GHZ)
+
+
+def charlie_vectors(kind, theta):
+    if kind is ResourceKind.GHZ:
+        return dict(zip((C.X1, C.X2), states.analyzer_basis(theta)))
+    return {C.ZERO: np.array([1, 0], dtype=complex), C.ONE: np.array([0, 1], dtype=complex)}
+
+
+def projected_branches(mu, nu, resource, kind, theta):
+    """{(bell, charlie): (probability, Bob's corrected state, fidelity) or None},
+    from explicit projectors on the 4-qubit register payload (x) resource."""
+    payload = states.qubit(mu, nu)
+    system = np.kron(np.outer(payload, payload.conj()), resource)
+    out = {}
+    for bell, b in zip(BellOutcome, states.bell_basis()):
+        bell_proj = kron_embed(np.outer(b, b.conj()), (0, 1), 4)
+        bell_prob = np.trace(bell_proj @ system @ bell_proj).real
+        for charlie, c in charlie_vectors(kind, theta).items():
+            proj = bell_proj @ kron_embed(np.outer(c, c.conj()), (3,), 4)
+            branch = proj @ system @ proj
+            joint = np.trace(branch).real
+            if bell_prob <= ZERO_TRACE_TOL or joint / bell_prob <= ZERO_TRACE_TOL:
+                out[bell, charlie] = None
+                continue
+            # trace out qubits 0, 1 and 3; Bob keeps qubit 2
+            bob = np.einsum("abydabzd->yz", branch.reshape([2] * 8)) / joint
+            u = correction_matrix(correction_lookup(kind, bell, charlie))
+            bob = u @ bob @ u.conj().T
+            probability = min(bell_prob, 1.0) * min(joint / bell_prob, 1.0)
+            out[bell, charlie] = (probability, bob, (payload.conj() @ bob @ payload).real)
+    return out
+
+
+def assert_matches_projection(mu, nu, resource, kind, theta):
+    result = run_protocol(mu, nu, resource, kind, theta)
+    expected = projected_branches(mu, nu, resource, kind, theta)
+    assert [(r.bell, r.charlie) for r in result.runs] == list(expected)
+    for run in result.runs:
+        branch = expected[run.bell, run.charlie]
+        if branch is None:
+            assert (run.probability, run.bob_state, run.fidelity) == (0.0, None, None)
+            continue
+        probability, bob, fid = branch
+        assert abs(run.probability - probability) <= 1e-12
+        assert np.abs(run.bob_state - bob).max() <= 1e-12
+        assert abs(run.fidelity - fid) <= 1e-12
+    assert abs(sum(r.probability for r in result.runs) - 1.0) <= 1e-12
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+angles = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, angles, st.sampled_from(ResourceKind))
+def test_branches_match_kron_embed_projection(seed, theta, kind):
+    rng = np.random.default_rng(seed)
+    mu, nu = random_payload(rng)
+    assert_matches_projection(mu, nu, random_density(rng, 8), kind, theta)
+
+
+@pytest.mark.parametrize("kind", list(ResourceKind))
+@pytest.mark.parametrize("theta", [0.0, np.pi / 4, np.pi / 2, 1.0])
+@pytest.mark.parametrize("mu, nu", [(0.6, 0.8j), (1.0, 0.0)])
+def test_absent_branches_match_kron_embed_projection(kind, theta, mu, nu):
+    # Computational basis resources leave branches with probability exactly 0:
+    # Charlie's outcome alone, or with the payload |0>, the Bell outcome too.
+    for index in range(8):
+        resource = np.zeros((8, 8), dtype=complex)
+        resource[index, index] = 1.0
+        assert_matches_projection(mu, nu, resource, kind, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, angles)
+def test_ghz_branches_are_affine_in_cos_and_sin_of_two_theta(seed, theta):
+    # Charlie's analyzer projector is (I + cos2t Z + sin2t X) / 2, so every
+    # branch's probability and probability x fidelity is A + B cos2t + C sin2t.
+    rng = np.random.default_rng(seed)
+    mu, nu = random_payload(rng)
+    resource = random_density(rng, 8)
+
+    def weights(t):
+        runs = run_protocol(mu, nu, resource, ResourceKind.GHZ, t).runs
+        return np.array([[r.probability, r.probability * r.fidelity] for r in runs])
+
+    def basis(t):
+        return [1.0, np.cos(2 * t), np.sin(2 * t)]
+
+    fit_angles = (0.0, np.pi / 4, np.pi / 2)
+    samples = np.array([weights(t) for t in fit_angles])  # (angle, branch, weight)
+    coeffs = np.linalg.solve([basis(t) for t in fit_angles], samples.reshape(3, -1))
+    predicted = (basis(theta) @ coeffs).reshape(8, 2)
+    assert np.abs(weights(theta) - predicted).max() <= 1e-12
