@@ -133,9 +133,9 @@ def _cmd_diff_formulas(args) -> int:
     return EXIT_OK
 
 
-# argparse before Python 3.13 reads a negative number in exponent form as an
-# option name, so `--theta -1e-05` is passed on as `--theta=-1e-05`.
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# argparse reads -inf and -nan, and before Python 3.13 a negative number in exponent
+# form, as an option name, so `--theta -1e-05` is passed on as `--theta=-1e-05`.
+_NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)", re.IGNORECASE)
 
 
 def _attach_negative_values(argv) -> list[str]:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from .channels import ApplicationMode, KrausVariant
 from .errors import RunfileError
-from .states import SQRT_HALF
-from .sweep import FAMILY_AMPLITUDES, Quantity, SweepSpec
+from .states import SQRT_HALF, qubit
+from .sweep import FAMILY_AMPLITUDES, Quantity, SweepSpec, resource_vector
 from .teleport import BellOutcome, CharlieOutcome, ResourceKind
 
 _SECTIONS = ("state", "channel", "sweep", "output")
@@ -148,6 +148,21 @@ def _token(entry: tuple[str, int], key: str, table) -> object:
     return table[token] if isinstance(table, dict) else token
 
 
+def _amplitudes(state: _Section, keys, check) -> tuple[float, ...]:
+    """Read amplitude keys from [state], defaulting those not given, and run
+    `check` on them; a failure names the last key given, else the header."""
+    values, line = [], state.line
+    for key, default in keys:
+        entry = state.take(key)
+        values.append(default if entry is None else _float(entry, key))
+        line = max(line, entry[1]) if entry else line
+    try:
+        check(*values)
+    except ValueError as exc:
+        raise RunfileError(str(exc), line) from exc
+    return tuple(values)
+
+
 def _reject_unknown(section: _Section) -> None:
     for key, (_, line) in section.entries.items():
         raise RunfileError(f"unknown key {key!r} in [{section.name}]", line)
@@ -162,12 +177,8 @@ def parse_runfile(path) -> RunConfig:
     if kind_entry is None:
         raise RunfileError("missing required key 'kind' in [state]", state.line)
     kind = _token(kind_entry, "kind", _KIND_TOKENS)
-    params = tuple(
-        _float(entry, key) if (entry := state.take(key)) else default
-        for key, default in FAMILY_AMPLITUDES[kind]
-    )
-    mu = _float(entry, "mu") if (entry := state.take("mu")) else SQRT_HALF
-    nu = _float(entry, "nu") if (entry := state.take("nu")) else SQRT_HALF
+    params = _amplitudes(state, FAMILY_AMPLITUDES[kind], lambda *a: resource_vector(kind, a))
+    mu, nu = _amplitudes(state, (("mu", SQRT_HALF), ("nu", SQRT_HALF)), qubit)
     _reject_unknown(state)
 
     variant = KrausVariant.STANDARD

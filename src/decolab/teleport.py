@@ -11,11 +11,12 @@ qubit 2, Charlie holds qubit 3. A run enumerates every branch of:
   3. Bob applies the correction the lookup table assigns to the two classical
      outcomes, and his state is scored against the payload.
 
-No branch is projected one by one. Folding the payload into Alice's Bell bra
-leaves, for branch (b, c), a bra on resource qubits 1 and 3 alone; two pairwise
-einsums over the resource tensor give Bob's unnormalised state for all 8
-branches at once. Its traces are the joint probabilities; a Bell outcome's
-probability is their sum over Charlie's outcomes.
+No branch is projected or scored one by one. Folding the payload into Alice's
+Bell bra leaves, for branch (b, c), a bra on resource qubits 1 and 3 alone; two
+pairwise einsums over the resource tensor give Bob's unnormalised state for all
+8 branches at once. Its traces are the joint probabilities; a Bell outcome's
+probability is their sum over Charlie's outcomes. Correction, normalisation and
+scoring are one array step each; `fidelity` is the batch-of-one case.
 
 The correction tables ship exactly as published in the protocol they implement.
 The GHZ-kind table pairs every branch with I or S_z only; on a standard Bell
@@ -116,23 +117,40 @@ def correction_matrix(correction: Correction) -> np.ndarray:
     return linalg.SIGMA_X @ linalg.SIGMA_Z
 
 
+# Charlie's outcomes per kind, in run order; the GHZ pair is the analyzer basis.
+_CHARLIE_OUTCOMES = {ResourceKind.GHZ: (_C.X1, _C.X2), ResourceKind.GHZ_LIKE: (_C.ZERO, _C.ONE)}
+
+# Correction unitaries as u[b, c] per kind, read from the table above.
+_CORRECTIONS = {
+    kind: np.array(
+        [[correction_matrix(correction_lookup(kind, b, c)) for c in outcomes] for b in _B]
+    )
+    for kind, outcomes in _CHARLIE_OUTCOMES.items()
+}
+
+
+def _scores(bob: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Overlaps <psi|rho|psi> of a non-empty (n, 2, 2) stack; each check is one reduction."""
+    if np.abs(bob - bob.conj().swapaxes(1, 2)).max() > HERMITICITY_TOL:
+        raise ValueError("Bob state is not Hermitian")
+    if np.abs(np.trace(bob, axis1=1, axis2=2).real - 1.0).max() > NORM_TOL:
+        raise ValueError("Bob state trace is not 1")
+    values = (psi.conj() @ bob) @ psi
+    worst = values.imag[np.abs(values.imag).argmax()]
+    if abs(worst) > REAL_RESIDUE_TOL:
+        raise ValueError(f"fidelity has imaginary residue {worst:.3e}")
+    outside = (values.real < -REAL_RESIDUE_TOL) | (values.real > 1.0 + REAL_RESIDUE_TOL)
+    if outside.any():
+        raise ValueError(f"fidelity {float(values.real[outside][0])!r} outside [0, 1]")
+    return np.clip(values.real, 0.0, 1.0)
+
+
 def fidelity(bob, mu, nu) -> float:
     """Overlap <psi|rho_B|psi> of Bob's state with the payload mu|0> + nu|1>."""
     m = linalg.as_matrix(bob)
     if m.shape != (2, 2):
         raise ValueError(f"expected a single-qubit state, got shape {m.shape}")
-    if not linalg.is_hermitian(m, HERMITICITY_TOL):
-        raise ValueError("Bob state is not Hermitian")
-    if abs(linalg.real_trace(m) - 1.0) > NORM_TOL:
-        raise ValueError("Bob state trace is not 1")
-    psi = states.qubit(mu, nu)
-    value = complex(psi.conj() @ m @ psi)
-    if abs(value.imag) > REAL_RESIDUE_TOL:
-        raise ValueError(f"fidelity has imaginary residue {value.imag:.3e}")
-    f = value.real
-    if f < -REAL_RESIDUE_TOL or f > 1.0 + REAL_RESIDUE_TOL:
-        raise ValueError(f"fidelity {f!r} outside [0, 1]")
-    return float(min(max(f, 0.0), 1.0))
+    return float(_scores(m[None], states.qubit(mu, nu))[0])
 
 
 @dataclass(frozen=True)
@@ -168,9 +186,9 @@ def run_protocol(mu, nu, resource, kind: ResourceKind, theta: float = 0.0) -> Pr
     if not math.isfinite(theta):
         raise ValueError(f"analyzer angle theta = {theta} is not finite")
     if kind is ResourceKind.GHZ:
-        charlie_outcomes, charlie_vecs = (_C.X1, _C.X2), np.array(states.analyzer_basis(theta))
+        charlie_vecs = np.array(states.analyzer_basis(theta))
     elif kind is ResourceKind.GHZ_LIKE:
-        charlie_outcomes, charlie_vecs = (_C.ZERO, _C.ONE), linalg.IDENTITY_2
+        charlie_vecs = linalg.IDENTITY_2
     else:
         raise ValueError(f"unknown resource kind {kind!r}")
     rho = linalg.three_qubit_density(resource).reshape([2] * 6)
@@ -186,26 +204,31 @@ def run_protocol(mu, nu, resource, kind: ResourceKind, theta: float = 0.0) -> Pr
     if residue > HERMITICITY_TOL:
         raise ValueError(f"trace has imaginary residue {residue:.3e}")
     joint = joint.real
+    bell_prob = joint.sum(axis=1, keepdims=True)
+    conditional = np.divide(
+        joint, bell_prob, out=np.zeros_like(joint), where=bell_prob > ZERO_TRACE_TOL
+    )
+    present = conditional > ZERO_TRACE_TOL
+    probability = np.minimum(bell_prob, 1.0) * np.minimum(conditional, 1.0)
+    # The corrections are signed permutations, so U sigma U^dagger is exact and
+    # normalising before or after correcting gives the same bits.
+    u = _CORRECTIONS[kind]
+    bob = np.divide(
+        u @ sigma @ u.conj().swapaxes(2, 3),
+        joint[..., None, None],
+        out=np.zeros_like(sigma),
+        where=present[..., None, None],
+    )
+    fids = np.zeros_like(joint)
+    fids[present] = _scores(bob[present], payload)
 
-    runs: list[ProtocolRun] = []
-    for b, bell in enumerate(BellOutcome):
-        bell_prob = joint[b].sum()
-        for c, charlie in enumerate(charlie_outcomes):
-            conditional = joint[b, c] / bell_prob if bell_prob > ZERO_TRACE_TOL else 0.0
-            if conditional <= ZERO_TRACE_TOL:
-                runs.append(ProtocolRun(bell, charlie, 0.0, None, None))
-                continue
-            u = correction_matrix(correction_lookup(kind, bell, charlie))
-            corrected = u @ (sigma[b, c] / joint[b, c]) @ u.conj().T
-            runs.append(
-                ProtocolRun(
-                    bell,
-                    charlie,
-                    float(min(bell_prob, 1.0) * min(conditional, 1.0)),
-                    corrected,
-                    fidelity(corrected, mu, nu),
-                )
-            )
-
-    average = sum(r.probability * r.fidelity for r in runs if r.fidelity is not None)
-    return ProtocolResult(tuple(runs), float(average))
+    runs = tuple(
+        ProtocolRun(bell, charlie, float(probability[b, c]), bob[b, c], float(fids[b, c]))
+        if present[b, c]
+        else ProtocolRun(bell, charlie, 0.0, None, None)
+        for b, bell in enumerate(BellOutcome)
+        for c, charlie in enumerate(_CHARLIE_OUTCOMES[kind])
+    )
+    # A plain sum in run order; numpy's pairwise sum of 8 terms rounds differently.
+    average = sum((probability * fids).ravel().tolist())
+    return ProtocolResult(runs, float(average))

@@ -124,6 +124,19 @@ def test_teleport_rejects_non_finite_theta(capsys, kind, theta):
     assert f"error: analyzer angle theta = {theta} is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "token, shown", [("-inf", "-inf"), ("-Infinity", "-inf"), ("-nan", "nan"), ("-NaN", "nan")]
+)
+def test_teleport_negative_non_finite_theta_reaches_validation(capsys, token, shown):
+    assert main(["teleport", "--theta", token]) == EXIT_VALIDATION
+    assert f"error: analyzer angle theta = {shown} is not finite" in capsys.readouterr().err
+
+
+def test_teleport_negative_non_finite_payload_reaches_validation(capsys):
+    assert main(["teleport", "--mu", "-inf"]) == EXIT_VALIDATION
+    assert "error: amplitudes contain NaN or Inf" in capsys.readouterr().err
+
+
 def test_teleport_damped_ghz(capsys):
     code = main(
         ["teleport", "--kind", "ghz", "--theta", "0.785398", "--p", "0.3", "--gamma", "0.4"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -421,7 +422,24 @@ def test_runfile_missing_required(tmp_path):
 
 def test_runfile_unnormalized_state(tmp_path):
     text = MINIMAL.replace("kind = ghz", "kind = ghz\nalpha = 1\nbeta = 1")
-    with pytest.raises(RunfileError, match="ghz amplitudes"):
+    with pytest.raises(RunfileError, match="^line 4: ghz amplitudes: squared amplitudes sum to 2.0"):
+        parse_runfile(write_runfile(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "state, line, message",
+    [
+        ("beta = 1\nalpha = 1\nmu = 0.6\nnu = 0.8", 4, "ghz amplitudes: squared amplitudes"),
+        ("alpha = nan", 3, "amplitudes contain NaN or Inf"),
+        ("mu = 0.6\nalpha = 1\nbeta = 0\nnu = 0.6", 6, "qubit amplitudes: squared amplitudes"),
+        ("nu = 1", 3, "qubit amplitudes: squared amplitudes sum to 1.5"),
+        ("mu = nan", 3, "amplitudes contain NaN or Inf"),
+    ],
+)
+def test_runfile_amplitude_errors_name_their_line(tmp_path, state, line, message):
+    # The failure names the last amplitude (or payload) key given in [state].
+    text = MINIMAL.replace("kind = ghz", f"kind = ghz\n{state}")
+    with pytest.raises(RunfileError, match=rf"^line {line}: {re.escape(message)}"):
         parse_runfile(write_runfile(tmp_path, text))
 
 

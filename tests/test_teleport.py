@@ -76,8 +76,22 @@ def test_fidelity_examples():
 
 
 def test_fidelity_rejects_bad_state():
-    with pytest.raises(ValueError, match="trace"):
+    with pytest.raises(ValueError, match=r"expected a single-qubit state, got shape \(4, 4\)"):
+        fidelity(np.eye(4) / 4, 1, 0)
+    with pytest.raises(ValueError, match="Bob state is not Hermitian"):
+        fidelity([[0.5, 0.1], [0.0, 0.5]], 1, 0)
+    with pytest.raises(ValueError, match="Bob state trace is not 1"):
         fidelity(np.eye(2), 1, 0)
+    with pytest.raises(ValueError, match=r"fidelity 1.5 outside \[0, 1\]"):
+        fidelity(np.diag([1.5, -0.5]), 1, 0)
+
+
+def test_run_protocol_scores_branches_with_fidelity_checks():
+    # Hermitian with unit trace but not positive: Bob's (phi+, 0) state is
+    # diag(1.5, -0.5), which the S_x correction turns into fidelity -0.5.
+    resource = np.diag([1.5, 0, -0.5, 0, 0, 0, 0, 0]).astype(complex)
+    with pytest.raises(ValueError, match=r"fidelity -0.5 outside \[0, 1\]"):
+        run_protocol(1, 0, resource, ResourceKind.GHZ_LIKE)
 
 
 def test_ideal_ghz_like_teleports_perfectly(rng):
@@ -295,3 +309,26 @@ def test_ghz_branches_are_affine_in_cos_and_sin_of_two_theta(seed, theta):
     coeffs = np.linalg.solve([basis(t) for t in fit_angles], samples.reshape(3, -1))
     predicted = (basis(theta) @ coeffs).reshape(8, 2)
     assert np.abs(weights(theta) - predicted).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, angles, st.sampled_from(ResourceKind))
+def test_branch_fidelities_match_public_fidelity(seed, theta, kind):
+    rng = np.random.default_rng(seed)
+    mu, nu = random_payload(rng)
+    result = run_protocol(mu, nu, random_density(rng, 8), kind, theta)
+    for run in result.runs:
+        if run.fidelity is not None:
+            assert abs(run.fidelity - fidelity(run.bob_state, mu, nu)) <= 1e-15
+
+
+def test_bob_states_do_not_share_writes():
+    rho = damped(states.maximal_ghz_like(), 0.3, 0.25)
+    first = run_protocol(0.6, 0.8j, rho, ResourceKind.GHZ_LIKE)
+    before = [run.bob_state.copy() for run in first.runs]
+    first.runs[0].bob_state[...] = 7.0
+    for run, state in zip(first.runs[1:], before[1:]):
+        assert np.array_equal(run.bob_state, state)
+    again = run_protocol(0.6, 0.8j, rho, ResourceKind.GHZ_LIKE)
+    for run, state in zip(again.runs, before):
+        assert np.array_equal(run.bob_state, state)
