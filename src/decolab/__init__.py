@@ -25,7 +25,6 @@ from .closedform import (
     GhzCoeffs,
     GhzLikeCoeffs,
     bell_kappas,
-    diff_report,
     ghz_coeffs,
     ghz_fidelity_formula,
     ghz_like_coeffs,
@@ -102,7 +101,6 @@ __all__ = [
     "correction_lookup",
     "correction_matrix",
     "density",
-    "diff_report",
     "emit_csv",
     "emit_svg_lineplot",
     "fidelity",

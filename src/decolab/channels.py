@@ -32,7 +32,7 @@ A channel acts on chosen qubits of a register in one of two ways:
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -165,7 +165,11 @@ def apply_channel(
         for q in qubits:
             out = linalg.apply_local(kraus.elements, out, (q,))
     elif mode is ApplicationMode.CORRELATED:
-        shared = [functools.reduce(np.kron, [e] * len(qubits)) for e in kraus.elements]
+        # E_n x E_n x ... as one broadcast product: factor j on row axis j and
+        # column axis k + j, multiplied left to right as np.kron would.
+        e, k = np.stack(kraus.elements), len(qubits)
+        f = [e.reshape((-1,) + (1,) * j + (2,) + (1,) * (k - 1) + (2,) + (1,) * (k - 1 - j)) for j in range(k)]
+        shared = math.prod(f[1:], start=f[0]).reshape(-1, 2**k, 2**k)
         out = linalg.apply_local(shared, m, qubits)
     else:
         raise ValueError(f"unknown application mode {mode!r}")

@@ -213,25 +213,6 @@ def ghz_like_fidelity_formula(
     return _real_output(value, "computational fidelity formula")
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    """Entrywise comparison of two same-shaped quantities."""
-
-    max_abs_diff: float
-    location: tuple[int, int]
-
-
-def diff_report(simulated, formula) -> DiffReport:
-    sim = np.atleast_2d(np.asarray(simulated, dtype=complex))
-    form = np.atleast_2d(np.asarray(formula, dtype=complex))
-    if sim.shape != form.shape:
-        raise ValueError(f"shape mismatch: {sim.shape} vs {form.shape}")
-    diff = np.abs(sim - form)
-    flat = int(np.argmax(diff))
-    location = np.unravel_index(flat, diff.shape)
-    return DiffReport(float(diff[location]), (int(location[0]), int(location[1])))
-
-
 def _format_value(value: complex) -> str:
     value = complex(value)
     if abs(value.imag) <= REAL_RESIDUE_TOL:

@@ -33,6 +33,16 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _square_stack(a) -> np.ndarray:
+    """Coerce to a finite complex (..., d, d) array: one square matrix or a stack of them."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    return m
+
+
 def num_qubits(dim: int) -> int:
     """Number of qubits for a register of dimension `dim` (must be a power of 2)."""
     n = int(dim).bit_length() - 1
@@ -41,37 +51,34 @@ def num_qubits(dim: int) -> int:
     return n
 
 
-def real_trace(a, tol: float = HERMITICITY_TOL) -> float:
-    """Trace of a matrix that must be real up to `tol` (e.g. a density matrix)."""
-    t = complex(np.trace(as_matrix(a)))
-    if abs(t.imag) > tol:
-        raise ValueError(f"trace has imaginary residue {t.imag:.3e}")
+def real_trace(a, tol: float = HERMITICITY_TOL) -> float | np.ndarray:
+    """Trace of a matrix, or of each in a stack, that must be real up to `tol`."""
+    t = np.trace(_square_stack(a), axis1=-2, axis2=-1)
+    residue = np.abs(t.imag).max(initial=0.0)
+    if residue > tol:
+        raise ValueError(f"trace has imaginary residue {residue:.3e}")
     return t.real
 
 
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    m = as_matrix(a)
-    return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
+    """Whether a matrix, or every matrix in a stack, is Hermitian up to `tol`."""
+    m = _square_stack(a)
+    return np.abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0) <= tol
 
 
 def three_qubit_density(rho) -> np.ndarray:
-    """Validate an 8x8 Hermitian, unit-trace matrix and return it as an array."""
-    m = as_matrix(rho)
-    if m.shape != (8, 8):
+    """Validate an 8x8 Hermitian, unit-trace matrix, or each of a (..., 8, 8)
+    stack of them, and return it as an array; each check is one reduction."""
+    m = np.asarray(rho, dtype=complex)
+    if m.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 three-qubit state, got shape {m.shape}")
     if not is_hermitian(m):
         raise ValueError("state is not Hermitian")
     trace = real_trace(m)
-    if abs(trace - 1.0) > NORM_TOL:
-        raise ValueError(f"state trace {trace!r} is not 1")
+    bad = np.abs(trace - 1.0) > NORM_TOL
+    if bad.any():
+        raise ValueError(f"state trace {float(np.extract(bad, trace)[0])!r} is not 1")
     return m
-
-
-def _check_square_register(rho) -> tuple[np.ndarray, int]:
-    m = as_matrix(rho)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m, num_qubits(m.shape[0])
 
 
 def check_qubits(qubits, n_qubits: int) -> tuple[int, ...]:
@@ -92,7 +99,10 @@ def apply_local(ops, rho, qubits) -> np.ndarray:
     contracted against those qubits' row and column axes of the register
     tensor, so no operator is embedded into the full register.
     """
-    m, n = _check_square_register(rho)
+    m = as_matrix(rho)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    n = num_qubits(m.shape[0])
     qubits = check_qubits(qubits, n)
     k = len(qubits)
     ops = np.asarray(ops, dtype=complex)
@@ -114,24 +124,23 @@ def apply_local(ops, rho, qubits) -> np.ndarray:
 
 
 def partial_transpose(rho, qubit: int, n_qubits: int | None = None) -> np.ndarray:
-    """Transpose the indices of one tensor factor only."""
-    m, n = _check_square_register(rho)
+    """Transpose one tensor factor's indices, of a matrix or of each in a stack."""
+    m = _square_stack(rho)
+    n = num_qubits(m.shape[-1])
     if n_qubits is not None and n_qubits != n:
-        raise ValueError(f"matrix dimension {m.shape[0]} does not match {n_qubits} qubits")
+        raise ValueError(f"matrix dimension {m.shape[-1]} does not match {n_qubits} qubits")
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
-    t = m.reshape([2] * (2 * n))
-    axes = list(range(2 * n))
-    axes[qubit], axes[n + qubit] = axes[n + qubit], axes[qubit]
-    return np.ascontiguousarray(t.transpose(axes).reshape(m.shape))
+    lead = m.ndim - 2
+    t = m.reshape(m.shape[:lead] + (2,) * (2 * n))
+    return np.ascontiguousarray(t.swapaxes(lead + qubit, lead + n + qubit).reshape(m.shape))
 
 
 def hermitian_eigenvalues(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, ascending."""
-    m = as_matrix(h)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    defect = np.abs(m - m.conj().T).max() if m.size else 0.0
+    """All real eigenvalues, ascending, of a Hermitian matrix or of each in a stack."""
+    m = _square_stack(h)
+    adjoint = m.swapaxes(-1, -2).conj()
+    defect = np.abs(m - adjoint).max(initial=0.0)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {defect:.3e})")
-    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    return np.linalg.eigvalsh((m + adjoint) / 2.0)

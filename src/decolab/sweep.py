@@ -2,9 +2,10 @@
 negativity-decay and fidelity curve families, plus channel validation and the
 simulation-vs-formula diff.
 
-Grid points are evaluated one after another and records are emitted in a
-fixed p-major, gamma-minor order, so the same spec always gives the same
-output.
+Grid points are damped one after another. A negativity sweep scores each p
+row as one (G, 8, 8) stack, a fidelity sweep point by point. Records are
+emitted in a fixed p-major, gamma-minor order, so the same spec always gives
+the same output.
 """
 
 from __future__ import annotations
@@ -126,42 +127,46 @@ def _quantity_label(spec: SweepSpec) -> str:
     return spec.quantity.value
 
 
-def _evaluate_point(spec: SweepSpec, rho0: np.ndarray, p: float, gamma: float) -> list[SweepRecord]:
+def _damp(spec: SweepSpec, rho0: np.ndarray, p: float, gamma: float) -> np.ndarray:
     kraus = build_kraus(spec.variant, p, gamma)
     try:
         # Renormalization is a no-op for a trace-preserving set and required for
         # gad_raw and for CORRELATED application, so it is always on here.
-        rho_f = apply_channel(rho0, kraus, (0, 1, 2), spec.mode, renormalize=True)
+        return apply_channel(rho0, kraus, (0, 1, 2), spec.mode, renormalize=True)
     except NumericalError as exc:
         raise NumericalError(f"at grid point p={p:g}, gamma={gamma:g}: {exc}") from exc
-    label = _quantity_label(spec)
-    records = []
-    if spec.quantity is Quantity.NEGATIVITY:
-        value = entanglement.tripartite_negativity(rho_f).tripartite
-        for theta in spec.theta_values:
-            records.append(SweepRecord(p, gamma, theta, label, value))
-        return records
-    for theta in spec.theta_values:
-        result = teleport.run_protocol(spec.mu, spec.nu, rho_f, spec.kind, theta)
-        if spec.quantity is Quantity.FIDELITY_AVG:
-            value = result.average_fidelity
-        else:
-            run = result.branch(spec.bell, spec.charlie)
-            # An unobservable branch (probability 0) is recorded as 0, not NaN.
-            value = run.fidelity if run.fidelity is not None else 0.0
-        records.append(SweepRecord(p, gamma, theta, label, value))
-    return records
+
+
+def _fidelity(spec: SweepSpec, rho_f: np.ndarray, theta: float) -> float:
+    result = teleport.run_protocol(spec.mu, spec.nu, rho_f, spec.kind, theta)
+    if spec.quantity is Quantity.FIDELITY_AVG:
+        return result.average_fidelity
+    run = result.branch(spec.bell, spec.charlie)
+    # An unobservable branch (probability 0) is recorded as 0, not NaN.
+    return run.fidelity if run.fidelity is not None else 0.0
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the full p x gamma x theta grid, in deterministic order."""
     rho0 = states.density(spec.resource_vector())
-    return [
-        record
-        for p in spec.p_values
-        for gamma in spec.gamma_grid()
-        for record in _evaluate_point(spec, rho0, p, gamma)
-    ]
+    gammas, label = spec.gamma_grid(), _quantity_label(spec)
+    records = []
+    for p in spec.p_values:
+        row = [_damp(spec, rho0, p, gamma) for gamma in gammas]
+        if spec.quantity is Quantity.NEGATIVITY:
+            values = entanglement.geometric_mean(entanglement.cut_negativities(np.stack(row)))
+            records += [
+                SweepRecord(p, gamma, theta, label, float(value))
+                for gamma, value in zip(gammas, values)
+                for theta in spec.theta_values
+            ]
+        else:
+            records += [
+                SweepRecord(p, gamma, theta, label, _fidelity(spec, rho_f, theta))
+                for gamma, rho_f in zip(gammas, row)
+                for theta in spec.theta_values
+            ]
+    return records
 
 
 @dataclass(frozen=True)

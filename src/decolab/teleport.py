@@ -191,7 +191,7 @@ def run_protocol(mu, nu, resource, kind: ResourceKind, theta: float = 0.0) -> Pr
         charlie_vecs = linalg.IDENTITY_2
     else:
         raise ValueError(f"unknown resource kind {kind!r}")
-    rho = linalg.three_qubit_density(resource).reshape([2] * 6)
+    rho = linalg.three_qubit_density(linalg.as_matrix(resource)).reshape([2] * 6)
     payload = states.qubit(mu, nu)
 
     # bra[b, c, x, z] on resource qubits 1 (x) and 3 (z): Alice's Bell bra with

@@ -8,7 +8,6 @@ from decolab.closedform import (
     DiffLedger,
     DiffRecord,
     bell_kappas,
-    diff_report,
     ghz_coeffs,
     ghz_fidelity_formula,
     ghz_like_coeffs,
@@ -183,15 +182,6 @@ def test_ghz_coeffs_deviate_from_simulation_under_noise():
         states.density(states.maximal_ghz()), gad_standard(p, gamma), (0, 1, 2)
     )
     assert abs(2 * coeffs.a1 - rho[0, 0]) > 1e-3
-
-
-def test_diff_report():
-    assert diff_report(np.eye(4), np.eye(4)).max_abs_diff == 0.0
-    report = diff_report(np.diag([1, 0]), np.diag([0, 1]))
-    assert report.max_abs_diff == pytest.approx(1.0)
-    assert report.location == (0, 0)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        diff_report(np.eye(2), np.eye(4))
 
 
 def test_diff_ledger_csv(tmp_path):

@@ -103,6 +103,42 @@ def test_eigenvalues_reject_non_hermitian():
         hermitian_eigenvalues([[0, 1], [0, 0]])
 
 
+def test_stacks_match_each_matrix_and_symmetrise(rng):
+    # a (2, 3) stack of states, each off Hermitian by a skew part below the tolerance
+    stack = np.array([[random_density(rng, 8) for _ in range(3)] for _ in range(2)])
+    skew = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+    stack = stack + 1e-12 * (skew - np.swapaxes(skew, -1, -2).conj())
+    assert linalg.three_qubit_density(stack) is not None
+    for q in range(3):
+        pt = partial_transpose(stack, q)
+        assert pt.shape == stack.shape
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(pt[index], partial_transpose(stack[index], q))
+    eigs = hermitian_eigenvalues(stack)
+    hermitian = (stack + np.swapaxes(stack, -1, -2).conj()) / 2
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(eigs[index], hermitian_eigenvalues(stack[index]))
+        assert np.abs(eigs[index] - np.linalg.eigvalsh(hermitian[index])).max() <= 1e-14
+
+
+def test_stack_validation_names_the_problem():
+    rho = np.eye(8, dtype=complex) / 8
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros((3, 2, 4)))
+    with pytest.raises(ValueError, match="NaN"):
+        partial_transpose(np.full((2, 4, 4), np.nan), 0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigenvalues(np.array([np.eye(2), [[0, 1], [0, 0]]]))
+    bad = np.array([rho, rho])
+    bad[1, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="Hermitian"):
+        linalg.three_qubit_density(bad)
+    with pytest.raises(ValueError, match=r"state trace 2\.0 is not 1"):
+        linalg.three_qubit_density(np.array([rho, 2 * rho]))
+    with pytest.raises(ValueError, match="8x8"):
+        linalg.three_qubit_density(np.zeros((2, 4, 4)))
+
+
 def sandwich(op, rho):
     return op @ rho @ op.conj().T
 

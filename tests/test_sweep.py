@@ -102,6 +102,41 @@ def test_numerical_failure_names_the_grid_point(monkeypatch):
         run_sweep(spec)
 
 
+def test_negativity_rows_are_scored_stacked(monkeypatch):
+    import decolab.linalg as linalg_module
+    from decolab import entanglement, states
+    from decolab.channels import apply_channel, build_kraus
+
+    spec = SweepSpec(
+        kind=ResourceKind.GHZ_LIKE,
+        quantity=Quantity.NEGATIVITY,
+        state_params=(0.8, 0.7, 0.6, 1.5842979517754858),
+        variant=KrausVariant.RAW,
+        p_values=(0.0, 0.4, 0.9),
+        gamma_count=5,
+        theta_values=(0.0, 1.0),
+    )
+    rho0 = states.density(spec.resource_vector())
+    # one state at a time, through the public single-state function
+    want = [
+        entanglement.tripartite_negativity(
+            apply_channel(rho0, build_kraus(spec.variant, p, g), (0, 1, 2), renormalize=True)
+        ).tripartite
+        for p in spec.p_values
+        for g in spec.gamma_grid()
+        for _ in spec.theta_values
+    ]
+    calls = []
+    eig = linalg_module.hermitian_eigenvalues
+    monkeypatch.setattr(linalg_module, "hermitian_eigenvalues", lambda h: calls.append(1) or eig(h))
+    monkeypatch.setattr(entanglement, "tripartite_negativity", None)
+    records = run_sweep(spec)
+    assert [r.value for r in records] == want
+    assert [(r.p, r.theta) for r in records[:3]] == [(0.0, 0.0), (0.0, 1.0), (0.0, 0.0)]
+    # one PSD check per point in the channel, one eigensolve per cut per p row
+    assert len(calls) == 3 * 5 + 3 * 3
+
+
 def test_raw_variant_sweep_stays_in_range():
     spec = SweepSpec(
         kind=ResourceKind.GHZ,

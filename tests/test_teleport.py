@@ -215,6 +215,8 @@ def test_rejects_bad_resource():
         run_protocol(1, 0, np.eye(4) / 4, ResourceKind.GHZ)
     with pytest.raises(ValueError, match="trace"):
         run_protocol(1, 0, np.eye(8), ResourceKind.GHZ)
+    with pytest.raises(ValueError, match="2-D"):
+        run_protocol(1, 0, np.array([np.eye(8) / 8] * 2), ResourceKind.GHZ)
 
 
 def charlie_vectors(kind, theta):
